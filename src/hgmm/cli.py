@@ -269,7 +269,9 @@ def cmd_run(args, parser) -> int:
             print(f"split cache error: {exc}", file=sys.stderr)
             return EXIT_CACHE
     seed = args.seed if args.seed is not None else int(scenario.get("seed", 0))
-    threads = 1 if args.sequential else (args.threads or os.cpu_count() or 1)
+    if args.threads < 1:
+        parser.error("--threads must be at least 1")
+    threads = 1 if args.sequential else args.threads
     timings["setup"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -476,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--sequential", action="store_true", help="single worker, bit-exact")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for top-level mixands (default 1)")
 
     p = sub.add_parser("evaluate", help="score a frames file")
     p.add_argument("--frames", required=True)

@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyMixtureError,
     IndefiniteMatrixError,
+    NonFiniteValueError,
     NotSymmetricError,
 )
 
@@ -40,7 +41,10 @@ def _as_matrix(cov) -> np.ndarray:
 
 
 def _check_symmetric(cov: np.ndarray) -> None:
-    scale = max(np.abs(cov).max(), 1.0)
+    scale = np.abs(cov).max()
+    if not np.isfinite(scale):
+        raise NonFiniteValueError("matrix has a non-finite entry")
+    scale = max(scale, 1.0)
     if np.abs(cov - cov.T).max() > _SYM_RTOL * scale:
         raise NotSymmetricError("matrix is not symmetric within tolerance")
 
@@ -59,6 +63,8 @@ class Gaussian:
             raise DimensionMismatchError(
                 f"mean dim {mean.shape[0]} != cov dim {cov.shape[0]}"
             )
+        if not np.isfinite(mean).all():
+            raise NonFiniteValueError("mean has a non-finite entry")
         _check_symmetric(cov)
         tr = max(np.trace(cov), 0.0)
         w = np.linalg.eigvalsh(symmetrize(cov))

@@ -13,6 +13,10 @@ class IndefiniteMatrixError(HgmmError):
     """A covariance matrix has an eigenvalue below the allowed tolerance."""
 
 
+class NonFiniteValueError(HgmmError, ValueError):
+    """A mean or covariance contains NaN or infinity."""
+
+
 class DimensionMismatchError(HgmmError):
     """Vector/matrix dimensions do not agree."""
 

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ def run_cli(*argv):
         return exc.code
 
 
-def write_scenario(path, horizon=1.0, e_res_max=0.1, cov=None):
+def write_scenario(path, horizon=1.0, e_res_max=0.1, cov=None, max_mixands=10):
     cov = cov or [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 0.05]]
     scenario = {
         "model": "bicycle",
@@ -30,7 +34,7 @@ def write_scenario(path, horizon=1.0, e_res_max=0.1, cov=None):
         "engine": {
             "e_res_max": e_res_max,
             "max_split_depth": 2,
-            "max_mixands": 10,
+            "max_mixands": max_mixands,
             "dt": 0.1,
             "horizon": horizon,
             "normalization": "raw",
@@ -147,6 +151,38 @@ class TestRun:
             rec = json.loads(line)
             alphas = [m["alpha"] for m in rec["mixands"]]
             assert len(alphas) == len(set(alphas))
+
+    def test_threads_default_to_one(self, tmp_path):
+        scen = tmp_path / "scenario.json"
+        write_scenario(scen, horizon=0.3)
+        out = tmp_path / "frames.jsonl"
+        assert run_cli("run", "--scenario", str(scen), "--out", str(out)) == 0
+        manifest = json.loads((tmp_path / "frames.jsonl.manifest.json").read_text())
+        assert manifest["threads"] == 1 and not manifest["sequential"]
+        assert run_cli("run", "--scenario", str(scen), "--out", str(out), "--threads", "2") == 0
+        manifest = json.loads((tmp_path / "frames.jsonl.manifest.json").read_text())
+        assert manifest["threads"] == 2
+        assert run_cli("run", "--scenario", str(scen), "--out", str(out), "--threads", "0") == 2
+
+    def test_split_heavy_sequential_identical_across_processes(self, tmp_path):
+        # Every mixand splits and the cap forces many merges per step, so the
+        # frames depend on every reduction decision.
+        scen = tmp_path / "scenario.json"
+        write_scenario(scen, horizon=3.5, e_res_max=0.05, max_mixands=4,
+                       cov=np.diag([2.0, 2.0, 2.0, 0.1]).tolist())
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        outs = []
+        for name in ("a.jsonl", "b.jsonl"):
+            out = tmp_path / name
+            subprocess.run(
+                [sys.executable, "-m", "hgmm.cli", "run", "--scenario", str(scen),
+                 "--cache", LIB_PATH, "--out", str(out), "--sequential"],
+                check=True, env=env, capture_output=True,
+            )
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_missing_scenario_key(self, tmp_path):
         scen = tmp_path / "bad.json"

@@ -17,7 +17,12 @@ from hgmm import (
     mixture_moments,
     normalize,
 )
-from hgmm.errors import DimensionMismatchError, EmptyMixtureError, NotSymmetricError
+from hgmm.errors import (
+    DimensionMismatchError,
+    EmptyMixtureError,
+    NonFiniteValueError,
+    NotSymmetricError,
+)
 
 
 class TestMatrixSqrt:
@@ -68,6 +73,25 @@ class TestGaussianPdf:
     def test_rejects_asymmetric_covariance(self):
         with pytest.raises(NotSymmetricError):
             Gaussian(np.zeros(2), np.array([[1.0, 0.5], [0.1, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_mean(self, bad):
+        with pytest.raises(NonFiniteValueError):
+            Gaussian(np.array([bad, 0.0]), np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("cell", [(0, 0), (1, 1), (0, 1)])
+    def test_rejects_non_finite_covariance(self, bad, cell):
+        cov = np.eye(2)
+        cov[cell] = cov[cell[::-1]] = bad
+        # A NaN on the diagonal leaves eigvalsh's eigenvalues finite, so the
+        # check must look at the entries themselves.
+        with pytest.raises(NonFiniteValueError):
+            Gaussian(np.zeros(2), cov)
+
+    def test_non_finite_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            Gaussian(np.zeros(2), np.full((2, 2), np.nan))
 
 
 class TestIsdTerms:

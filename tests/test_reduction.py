@@ -1,7 +1,11 @@
 """Mixture reduction tests."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hgmm import (
     Gaussian,
@@ -28,6 +32,39 @@ def random_mixture(rng, random_spd, m, dim=2, alphas=("a",)):
             )
         )
     return normalize(mixands)
+
+
+def reference_reduce(mix: HybridMixture, cap: int) -> HybridMixture:
+    """Plain uncached O(M^3) greedy reducer that ``reduce_mixture`` must match.
+
+    Scans pairs in ``(i, j)`` order and keeps the first strictly cheaper
+    one, merges into position ``i`` and removes ``j``; when no two mixands
+    share a label it drops the lightest, lowest-index one.
+    """
+    mixands = list(mix.mixands)
+    while len(mixands) > cap:
+        best = None
+        for i in range(len(mixands)):
+            for j in range(i + 1, len(mixands)):
+                if mixands[i].discrete == mixands[j].discrete:
+                    cost = merge_cost(mixands[i], mixands[j])
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+        if best is None:
+            mixands.pop(min(range(len(mixands)), key=lambda k: (mixands[k].weight, k)))
+            continue
+        _, i, j = best
+        merged = merge_pair(mixands[i], mixands[j])
+        mixands = mixands[:i] + [merged] + mixands[i + 1 : j] + mixands[j + 1 :]
+    return normalize(mixands, mix.time_index)
+
+
+def mixture_bytes(mix: HybridMixture) -> list:
+    return [
+        (m.discrete, np.float64(m.weight).tobytes(), m.gaussian.mean.tobytes(),
+         m.gaussian.cov.tobytes())
+        for m in mix.mixands
+    ]
 
 
 def mixture_isd(a: HybridMixture, b: HybridMixture) -> float:
@@ -105,6 +142,19 @@ class TestReduce:
             if w_in > 0:
                 assert w_out == pytest.approx(w_in, abs=1e-9)
 
+    def test_singular_covariances_still_merge(self):
+        # Point masses have log-det -inf, so their pair costs are not finite;
+        # they must still be merged rather than taken for distinct labels.
+        mix = HybridMixture(tuple(
+            HybridMixand(w, "a", Gaussian(np.array([x, 0.0]), np.zeros((2, 2))))
+            for w, x in ((0.2, 0.0), (0.3, 1.0), (0.5, 3.0))
+        ))
+        out = reduce_mixture(mix, ReductionConfig(1))
+        m0, c0 = mixture_moments(mix)
+        m1, c1 = mixture_moments(out)
+        assert len(out) == 1
+        assert np.allclose(m0, m1, atol=1e-12) and np.allclose(c0, c1, atol=1e-12)
+
     def test_drops_lightest_hypothesis_when_cap_below_label_count(self, caplog):
         g = Gaussian(np.zeros(1), np.eye(1))
         mix = HybridMixture(
@@ -120,3 +170,56 @@ class TestReduce:
         assert labels == {"a", "b"}
         assert sum(m.weight for m in out.mixands) == pytest.approx(1.0)
         assert any("dropping hypothesis" in r.message for r in caplog.records)
+
+
+class TestAgainstReference:
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        m_cap=st.integers(2, 60).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m - 1))),
+        dim=st.integers(2, 4),
+        n_labels=st.integers(1, 4),
+        seed=st.integers(0, 10_000),
+    )
+    # Cap below the label count while labels still hold several mixands:
+    # merges run until every label is a singleton, then the drop path.
+    @example(m_cap=(24, 2), dim=3, n_labels=4, seed=1)
+    @example(m_cap=(60, 1), dim=4, n_labels=3, seed=2)
+    def test_matches_reference_greedy(self, m_cap, dim, n_labels, seed, random_spd):
+        m, cap = m_cap
+        rng = np.random.default_rng(seed)
+        alphas = tuple("abcd"[:n_labels])
+        mix = random_mixture(rng, random_spd, m, dim=dim, alphas=alphas)
+        out = reduce_mixture(mix, ReductionConfig(cap))
+        ref = reference_reduce(mix, cap)
+        assert len(out) == len(ref) <= cap
+        for a, b in zip(out.mixands, ref.mixands):
+            assert a.discrete == b.discrete
+            assert a.weight == pytest.approx(b.weight, abs=1e-10)
+            assert np.allclose(a.gaussian.mean, b.gaussian.mean, rtol=0, atol=1e-10)
+            assert np.allclose(a.gaussian.cov, b.gaussian.cov, rtol=0, atol=1e-10)
+        if cap >= len({mm.discrete for mm in mix.mixands}):
+            m0, c0 = mixture_moments(mix)
+            m1, c1 = mixture_moments(out)
+            assert np.allclose(m0, m1, rtol=0, atol=1e-9)
+            assert np.allclose(c0, c1, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("cap", range(1, 12))
+    def test_exact_ties_match_reference(self, cap, rng, random_spd):
+        # Three copies of four mixands: many pair costs are bit-equal, so
+        # the lowest-(i, j) tie-break decides which pair merges.
+        base = [Gaussian(rng.normal(size=2), random_spd(rng, 2)) for _ in range(4)]
+        mix = HybridMixture(tuple(
+            HybridMixand(1.0 / 12, "ab"[k % 2], base[k % 4]) for k in range(12)
+        ))
+        out = reduce_mixture(mix, ReductionConfig(cap))
+        assert mixture_bytes(out) == mixture_bytes(reference_reduce(mix, cap))
+
+    def test_repeat_from_deepcopy_is_byte_identical(self, rng, random_spd):
+        mix = random_mixture(rng, random_spd, 60, dim=4, alphas=("a", "b", "c"))
+        first = reduce_mixture(mix, ReductionConfig(8))
+        expected = mixture_bytes(first)
+        # Free the first result (and its merge products) before reducing again.
+        del first
+        second = reduce_mixture(copy.deepcopy(mix), ReductionConfig(8))
+        assert mixture_bytes(second) == expected
