@@ -54,8 +54,8 @@ def sample_priors(samples: int, seed: int) -> list:
 def propagate_no_split(model, prior: Gaussian, k: int = 0):
     """One unscented step with no splitting; returns (Gaussian, raw residual)."""
     sigma_set = generate_sigma_points(prior, model.process_noise)
-    alpha_next = k + 1 if isinstance(model, UngmModel) else 0
-    propagated = propagate_points(sigma_set, alpha_next, model.f_c, model.f_c_batch)
+    [(alpha_next, _)] = model.discrete_successors(k, prior)
+    propagated = propagate_points(sigma_set, alpha_next, model.f_c_batch)
     report = assess_linearity(
         sigma_set.state_block(), propagated[: 1 + 2 * model.n_x], normalization="raw"
     )

@@ -117,6 +117,8 @@ def cmd_optimize_split(args, parser) -> int:
 def cmd_benchmark(args, parser) -> int:
     if args.samples <= 0:
         parser.error("--samples must be positive")
+    if not args.e_res_max >= 0.0:
+        parser.error("--e-res-max must be non-negative or inf")
     lib = None
     if not args.no_split:
         if args.cache is None:
@@ -269,14 +271,11 @@ def cmd_run(args, parser) -> int:
             print(f"split cache error: {exc}", file=sys.stderr)
             return EXIT_CACHE
     seed = args.seed if args.seed is not None else int(scenario.get("seed", 0))
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
-    threads = 1 if args.sequential else args.threads
     timings["setup"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     try:
-        frames = anticipate(initial, model, cfg, lib, threads=threads)
+        frames = anticipate(initial, model, cfg, lib)
     except ModelEvaluationFailure as exc:
         log.error("model evaluation failure: %s", exc)
         print(f"model evaluation failure: {exc}", file=sys.stderr)
@@ -294,8 +293,6 @@ def cmd_run(args, parser) -> int:
         "command": "run",
         "version": __version__,
         "seed": seed,
-        "threads": threads,
-        "sequential": bool(args.sequential),
         "config": {
             "model": model_name,
             "network": network_name,
@@ -477,9 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--sequential", action="store_true", help="single worker, bit-exact")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for top-level mixands (default 1)")
 
     p = sub.add_parser("evaluate", help="score a frames file")
     p.add_argument("--frames", required=True)

@@ -7,6 +7,7 @@ are immutable after construction and safe to share between workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -216,34 +217,30 @@ def matrix_sqrt(cov: np.ndarray) -> np.ndarray:
     return v * np.sqrt(w)
 
 
+def gaussian_logpdf(mean: np.ndarray, cov: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Log density of N(mean, cov) at each row of ``xs``.
+
+    One Cholesky factorization serves every row.  A covariance that is not
+    numerically positive definite gets a 1e-12 * trace jitter first.
+    """
+    n = mean.shape[0]
+    sym = symmetrize(cov)
+    try:
+        chol = cholesky(sym, lower=True)
+    except np.linalg.LinAlgError:
+        sym = sym + (1e-12 * max(np.trace(sym), 1e-300)) * np.eye(n)
+        chol = cholesky(sym, lower=True)
+    z = solve_triangular(chol, (np.atleast_2d(xs) - mean).T, lower=True)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    return -0.5 * np.sum(z * z, axis=0) - 0.5 * (n * math.log(2.0 * math.pi) + logdet)
+
+
 def gaussian_pdf(g: Gaussian, x: np.ndarray) -> float:
     """Evaluate the multivariate normal density of ``g`` at ``x``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape[0] != g.dim:
         raise DimensionMismatchError(f"x dim {x.shape[0]} != gaussian dim {g.dim}")
-    return _pdf(g.mean, g.cov, x)
-
-
-def _pdf(mean: np.ndarray, cov: np.ndarray, x: np.ndarray) -> float:
-    n = mean.shape[0]
-    sym = symmetrize(cov)
-    try:
-        chol = cholesky(sym, lower=True)
-    except Exception:
-        sym = sym + (1e-12 * max(np.trace(sym), 1e-300)) * np.eye(n)
-        chol = cholesky(sym, lower=True)
-    z = solve_triangular(chol, x - mean, lower=True)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return float(np.exp(-0.5 * (z @ z) - 0.5 * (n * np.log(2.0 * np.pi) + logdet)))
-
-
-def log_mixture_pdf(mix: HybridMixture, x: np.ndarray) -> float:
-    """Log density of the continuous marginal of a hybrid mixture at ``x``."""
-    vals = [m.weight * gaussian_pdf(m.gaussian, x) for m in mix.mixands]
-    total = sum(vals)
-    if total <= 0.0:
-        return -np.inf
-    return float(np.log(total))
+    return float(np.exp(gaussian_logpdf(g.mean, g.cov, x)[0]))
 
 
 def isd_terms(target: Gaussian, mix: Sequence[tuple]) -> tuple:
@@ -253,18 +250,18 @@ def isd_terms(target: Gaussian, mix: Sequence[tuple]) -> tuple:
     ``(J11, J12, J22, J)`` where ``J = J11 - 2*J12 + J22`` is the ISD.
     All terms use the product-of-Gaussians identity, no quadrature.
     """
+
+    def overlap(a: Gaussian, b: Gaussian) -> float:
+        # Integral of N(x; a) N(x; b) dx = N(a.mean; b.mean, a.cov + b.cov).
+        return float(np.exp(gaussian_logpdf(b.mean, a.cov + b.cov, a.mean)[0]))
+
     n = target.dim
-    j11 = _pdf(np.zeros(n), 2.0 * target.cov, np.zeros(n))
-    j12 = 0.0
-    for w, g in mix:
+    for _, g in mix:
         if g.dim != n:
             raise DimensionMismatchError("mixture component dimension mismatch")
-        j12 += w * _pdf(target.mean, target.cov + g.cov, g.mean)
-    j22 = 0.0
-    comps = list(mix)
-    for wi, gi in comps:
-        for wj, gj in comps:
-            j22 += wi * wj * _pdf(gi.mean, gi.cov + gj.cov, gj.mean)
+    j11 = overlap(target, target)
+    j12 = sum(w * overlap(target, g) for w, g in mix)
+    j22 = sum(wi * wj * overlap(gi, gj) for wi, gi in mix for wj, gj in mix)
     j = j11 - 2.0 * j12 + j22
     return j11, j12, j22, j
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from abc import ABC, abstractmethod
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,30 +32,39 @@ from .splitting import SplitLibrary, apply_split
 log = logging.getLogger(__name__)
 
 
-class DynamicsModel:
+class DynamicsModel(ABC):
     """Interface required of every obstacle dynamics model.
 
-    Implementations must be immutable and safely callable from concurrent
-    workers.  ``f_c`` maps a point state and noise draw to the next state;
-    ``f_c_batch`` may be overridden with a vectorized version.
+    A model defines all four abstract members below; it states its
+    continuous dynamics in batch form only, and its discrete transitions as
+    a successor map plus a per-state gate.  Implementations must be immutable.
     """
 
     n_x: int
     n_v: int
 
     @property
+    @abstractmethod
     def process_noise(self) -> ProcessNoise:
-        raise NotImplementedError
+        """Additive process noise whose draws ``f_c_batch`` receives."""
+
+    @abstractmethod
+    def successor_options(self, alpha) -> list:
+        """(alpha_next, probability) pairs taken on leaving ``alpha``; sum to 1."""
+
+    @abstractmethod
+    def transition_mask(self, alpha, xs: np.ndarray) -> np.ndarray:
+        """One bool per row of ``xs``: that state leaves ``alpha`` this step."""
+
+    @abstractmethod
+    def f_c_batch(self, alpha_next, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Map (P, n_x) states and (P, n_v) noise draws to (P, n_x) next states."""
 
     def discrete_successors(self, alpha, gaussian: Gaussian) -> list:
-        """List of (alpha_next, transition probability); probabilities sum to 1."""
-        raise NotImplementedError
-
-    def f_c(self, alpha_next, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def f_c_batch(self, alpha_next, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        return np.array([self.f_c(alpha_next, x, v) for x, v in zip(xs, vs)])
+        """(alpha_next, probability) pairs for a mixand, gated on its mean."""
+        if self.transition_mask(alpha, gaussian.mean[None, :])[0]:
+            return self.successor_options(alpha)
+        return [(alpha, 1.0)]
 
 
 @dataclass(frozen=True)
@@ -73,6 +82,12 @@ class EngineConfig:
     normalization: str = "scaled"     # residual metric mode: "raw" | "scaled"
 
     def __post_init__(self):
+        for name in ("dt", "horizon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not self.e_res_max >= 0.0:
+            raise ValueError(f"e_res_max must be non-negative or inf, got {self.e_res_max}")
         steps = self.horizon / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("horizon must be an integer multiple of dt")
@@ -110,9 +125,7 @@ def _propagate_mixand(
     lam = cfg.lam if cfg.lam is not None else default_lambda(model.n_x, model.n_v)
     sigma_set = generate_sigma_points(m.gaussian, model.process_noise, lam)
     try:
-        propagated = propagate_points(
-            sigma_set, m.discrete, model.f_c, f_c_batch=model.f_c_batch
-        )
+        propagated = propagate_points(sigma_set, m.discrete, model.f_c_batch)
     except ModelEvaluationFailure as exc:
         raise ModelEvaluationFailure(
             f"dynamics evaluation failed for mixand alpha={m.discrete!r}: {exc}"
@@ -146,28 +159,12 @@ def step_continuous(
     model: DynamicsModel,
     cfg: EngineConfig,
     lib: SplitLibrary | None = None,
-    threads: int = 1,
 ) -> HybridMixture:
-    """Propagate every mixand one time step, splitting where the affine fit fails.
-
-    ``threads`` > 1 propagates top-level mixands concurrently; the result
-    order (and therefore the output) is identical to the sequential one.
-    """
+    """Propagate every mixand one time step, splitting where the affine fit fails."""
     out = []
     stats: dict = {}
-    if threads > 1 and len(mix) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(
-                pool.map(
-                    lambda m: _propagate_mixand(m, model, cfg, lib, depth=0, stats=stats),
-                    mix.mixands,
-                )
-            )
-        for chunk in chunks:
-            out.extend(chunk)
-    else:
-        for m in mix.mixands:
-            out.extend(_propagate_mixand(m, model, cfg, lib, depth=0, stats=stats))
+    for m in mix.mixands:
+        out.extend(_propagate_mixand(m, model, cfg, lib, depth=0, stats=stats))
     if stats.get("depth_capped"):
         log.warning(
             "split depth cap %d reached for %d mixand(s) at step %d; recombined anyway",
@@ -185,12 +182,18 @@ def anticipate(
     lib: SplitLibrary | None = None,
     threads: int = 1,
 ) -> list:
-    """Run the full pipeline for horizon/dt steps; returns one frame per step."""
+    """Run the full pipeline for horizon/dt steps; returns one frame per step.
+
+    Propagation is sequential.  ``threads`` only accepts 1; it remains for
+    callers that still pass it (``perfbench/workloads.py``).
+    """
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads}")
     frames = []
     current = initial
     for _ in range(cfg.n_steps):
         current = step_discrete(current, model)
-        current = step_continuous(current, model, cfg, lib, threads=threads)
+        current = step_continuous(current, model, cfg, lib)
         current = reduce_mixture(current, cfg.reduction)
         current = normalize(current.mixands, current.time_index, weight_floor=WEIGHT_FLOOR)
         frames.append(current)

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
-from .core import Gaussian, HybridMixture, mixture_moments
+from .core import HybridMixture, gaussian_logpdf, mixture_moments
 from .engine import DynamicsModel
 from .errors import (
     DegenerateVarianceError,
@@ -31,19 +30,6 @@ _DENSITY_FLOOR = 1e-300
 # vectorized mixture density helpers
 # ---------------------------------------------------------------------------
 
-def _gaussian_logpdf_points(mean, cov, xs):
-    n = mean.shape[0]
-    cov = 0.5 * (cov + cov.T)
-    try:
-        chol = cholesky(cov, lower=True)
-    except Exception:
-        cov = cov + (1e-12 * max(np.trace(cov), 1e-300)) * np.eye(n)
-        chol = cholesky(cov, lower=True)
-    z = solve_triangular(chol, (xs - mean).T, lower=True)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return -0.5 * np.sum(z * z, axis=0) - 0.5 * (n * math.log(2.0 * math.pi) + logdet)
-
-
 def mixture_pdf_points(mix: HybridMixture, xs: np.ndarray, dims=None) -> np.ndarray:
     """Continuous-marginal density of a mixture at many points (rows).
 
@@ -58,7 +44,7 @@ def mixture_pdf_points(mix: HybridMixture, xs: np.ndarray, dims=None) -> np.ndar
             cov = cov[np.ix_(list(dims), list(dims))]
         if xs.shape[1] != mean.shape[0]:
             raise DimensionMismatchError("point dimension does not match marginal")
-        out += m.weight * np.exp(_gaussian_logpdf_points(mean, cov, xs))
+        out += m.weight * np.exp(gaussian_logpdf(mean, cov, xs))
     return out
 
 

@@ -66,13 +66,6 @@ class UngmModel(DynamicsModel):
     def transition_mask(self, alpha, xs):
         return np.ones(len(xs), dtype=bool)
 
-    def discrete_successors(self, alpha, gaussian):
-        return self.successor_options(alpha)
-
-    def f_c(self, alpha_next, x, v):
-        k = int(alpha_next) - 1
-        return np.atleast_1d(ungm_step(x[0], k))
-
     def f_c_batch(self, alpha_next, xs, vs):
         k = int(alpha_next) - 1
         return ungm_step(xs[:, :1], k)
@@ -93,12 +86,6 @@ class CubicModel(DynamicsModel):
 
     def transition_mask(self, alpha, xs):
         return np.zeros(len(xs), dtype=bool)
-
-    def discrete_successors(self, alpha, gaussian):
-        return self.successor_options(alpha)
-
-    def f_c(self, alpha_next, x, v):
-        return np.atleast_1d(cubic_step(x[0]))
 
     def f_c_batch(self, alpha_next, xs, vs):
         return cubic_step(xs[:, :1])
@@ -352,11 +339,6 @@ class BicycleModel(DynamicsModel):
         s, _ = self._seg_lines[alpha].project(xs[:, :2])
         return s >= self._seg_lines[alpha].length - 1e-6
 
-    def discrete_successors(self, alpha, gaussian):
-        if self.transition_mask(alpha, gaussian.mean[None, :])[0]:
-            return self.successor_options(alpha)
-        return [(alpha, 1.0)]
-
     # -- continuous dynamics -------------------------------------------------
 
     def control(self, alpha, xs: np.ndarray) -> np.ndarray:
@@ -393,9 +375,6 @@ class BicycleModel(DynamicsModel):
         out[:, 2] = v + cfg.dt * (u[:, 0] + vs[:, 0])
         out[:, 3] = th + cfg.dt * cfg.wheel_gain * v * (u[:, 1] + vs[:, 1])
         return out
-
-    def f_c(self, alpha_next, x, v):
-        return self.f_c_batch(alpha_next, x[None, :], np.atleast_1d(v)[None, :])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -106,24 +106,14 @@ def generate_sigma_points(
     return SigmaSet(chi, ups, float(lam), float(gamma))
 
 
-def propagate_points(
-    s: SigmaSet,
-    alpha_next: object,
-    f_c: Callable,
-    f_c_batch: Optional[Callable] = None,
-) -> np.ndarray:
+def propagate_points(s: SigmaSet, alpha_next: object, f_c_batch: Callable) -> np.ndarray:
     """Push every (state, noise) point pair through the continuous dynamics.
 
-    ``f_c(alpha, x, v) -> x'`` is applied per point; ``f_c_batch`` may be
-    supplied to evaluate all points in one vectorized call.
+    ``f_c_batch(alpha_next, xs, vs)`` gets all (count, n_x) state points and
+    (count, n_v) noise points in one call and must return the (count, n_x)
+    propagated states; any other shape raises ``DimensionMismatchError``.
     """
-    if f_c_batch is not None:
-        out = np.asarray(f_c_batch(alpha_next, s.state_points, s.noise_points), dtype=float)
-    else:
-        out = np.array(
-            [f_c(alpha_next, x, v) for x, v in zip(s.state_points, s.noise_points)],
-            dtype=float,
-        )
+    out = np.asarray(f_c_batch(alpha_next, s.state_points, s.noise_points), dtype=float)
     if out.shape != (s.count, s.n_x):
         raise DimensionMismatchError(
             f"propagated points have shape {out.shape}, expected {(s.count, s.n_x)}"

@@ -95,6 +95,11 @@ class TestBenchmark:
     def test_nonpositive_samples(self):
         assert run_cli("benchmark", "--model", "ungm", "--samples", "0", "--no-split") == 2
 
+    @pytest.mark.parametrize("value", ["nan", "-0.1"])
+    def test_invalid_e_res_max(self, value):
+        assert run_cli("benchmark", "--model", "ungm", "--samples", "2",
+                       "--cache", LIB_PATH, "--e-res-max", value) == 2
+
     def test_missing_cache_key(self, tmp_path):
         lib = tmp_path / "small.json"
         assert run_cli(
@@ -126,7 +131,7 @@ class TestRun:
         scen = tmp_path / "scenario.json"
         write_scenario(scen)
         out1, out2 = tmp_path / "f1.jsonl", tmp_path / "f2.jsonl"
-        base = ["run", "--scenario", str(scen), "--cache", LIB_PATH, "--sequential"]
+        base = ["run", "--scenario", str(scen), "--cache", LIB_PATH]
         assert run_cli(*base, "--out", str(out1)) == 0
         assert run_cli(*base, "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -144,7 +149,7 @@ class TestRun:
         out = tmp_path / "frames.jsonl"
         code = run_cli(
             "run", "--scenario", str(scen), "--out", str(out),
-            "--e-res-max", "inf", "--sequential",
+            "--e-res-max", "inf",
         )
         assert code == 0
         for line in out.read_text().strip().splitlines():
@@ -152,17 +157,27 @@ class TestRun:
             alphas = [m["alpha"] for m in rec["mixands"]]
             assert len(alphas) == len(set(alphas))
 
-    def test_threads_default_to_one(self, tmp_path):
+    def test_manifest_has_no_concurrency_fields(self, tmp_path):
         scen = tmp_path / "scenario.json"
         write_scenario(scen, horizon=0.3)
         out = tmp_path / "frames.jsonl"
         assert run_cli("run", "--scenario", str(scen), "--out", str(out)) == 0
         manifest = json.loads((tmp_path / "frames.jsonl.manifest.json").read_text())
-        assert manifest["threads"] == 1 and not manifest["sequential"]
-        assert run_cli("run", "--scenario", str(scen), "--out", str(out), "--threads", "2") == 0
-        manifest = json.loads((tmp_path / "frames.jsonl.manifest.json").read_text())
-        assert manifest["threads"] == 2
-        assert run_cli("run", "--scenario", str(scen), "--out", str(out), "--threads", "0") == 2
+        assert "threads" not in manifest and "sequential" not in manifest
+        for flag in (["--threads", "2"], ["--sequential"]):
+            assert run_cli("run", "--scenario", str(scen), "--out", str(out), *flag) == 2
+
+    @pytest.mark.parametrize("flag", [
+        ["--dt", "0"], ["--dt", "-0.1"], ["--dt", "nan"], ["--horizon", "0"],
+        ["--horizon", "-1"], ["--horizon", "inf"], ["--e-res-max", "nan"],
+        ["--e-res-max", "-0.1"],
+    ])
+    def test_degenerate_engine_config_is_usage_error(self, tmp_path, flag):
+        scen = tmp_path / "scenario.json"
+        write_scenario(scen, horizon=0.3)
+        out = tmp_path / "frames.jsonl"
+        assert run_cli("run", "--scenario", str(scen), "--out", str(out), *flag) == 2
+        assert not out.exists()
 
     def test_split_heavy_sequential_identical_across_processes(self, tmp_path):
         # Every mixand splits and the cap forces many merges per step, so the
@@ -178,7 +193,7 @@ class TestRun:
             out = tmp_path / name
             subprocess.run(
                 [sys.executable, "-m", "hgmm.cli", "run", "--scenario", str(scen),
-                 "--cache", LIB_PATH, "--out", str(out), "--sequential"],
+                 "--cache", LIB_PATH, "--out", str(out)],
                 check=True, env=env, capture_output=True,
             )
             outs.append(out.read_bytes())
@@ -198,7 +213,7 @@ class TestEvaluate:
         out = tmp_path / "frames.jsonl"
         assert run_cli(
             "run", "--scenario", str(scen), "--cache", LIB_PATH,
-            "--out", str(out), "--sequential",
+            "--out", str(out),
         ) == 0
         times, frames = cli.load_frames(out)
         return out, times, frames

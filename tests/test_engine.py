@@ -16,7 +16,7 @@ from hgmm import (
     step_continuous,
     step_discrete,
 )
-from hgmm.errors import NoSuccessorError
+from hgmm.errors import ModelEvaluationFailure, NoSuccessorError
 from hgmm.evaluation import default_grid, mixture_pdf_points, numerical_kld
 from hgmm.models import UngmModel, ungm_truth_density
 
@@ -45,12 +45,6 @@ class LinearModel(DynamicsModel):
 
     def transition_mask(self, alpha, xs):
         return np.ones(len(xs), dtype=bool)
-
-    def discrete_successors(self, alpha, gaussian):
-        return self.routing.get(alpha, [(alpha, 1.0)])
-
-    def f_c(self, alpha_next, x, v):
-        return self.a @ x + self.b @ v
 
     def f_c_batch(self, alpha_next, xs, vs):
         return xs @ self.a.T + vs @ self.b.T
@@ -132,22 +126,6 @@ class TestStepContinuous:
             )
         assert klds[0.01] < klds[np.inf]
 
-    def test_threaded_output_matches_sequential(self, lib):
-        model = UngmModel()
-        g = Gaussian(np.zeros(1), np.eye(1))
-        mix = HybridMixture(
-            (HybridMixand(0.5, 0, g), HybridMixand(0.5, 0, Gaussian(np.ones(1), np.eye(1))))
-        )
-        cfg = EngineConfig(e_res_max=0.05, max_split_depth=2, dt=1.0, horizon=1.0,
-                           normalization="raw")
-        seq = step_continuous(mix, model, cfg, lib, threads=1)
-        par = step_continuous(mix, model, cfg, lib, threads=4)
-        assert len(seq) == len(par)
-        for a, b in zip(seq.mixands, par.mixands):
-            assert a.weight == b.weight
-            assert np.array_equal(a.gaussian.mean, b.gaussian.mean)
-            assert np.array_equal(a.gaussian.cov, b.gaussian.cov)
-
 
 class TestAnticipate:
     def test_zero_noise_linear_two_steps(self):
@@ -171,3 +149,44 @@ class TestAnticipate:
         with pytest.raises(ValueError):
             EngineConfig(dt=0.3, horizon=1.0)
         assert EngineConfig(dt=0.1, horizon=4.5).n_steps == 45
+        for bad in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                EngineConfig(dt=bad)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                EngineConfig(horizon=bad)
+        for bad in (np.nan, -0.1):
+            with pytest.raises(ValueError):
+                EngineConfig(e_res_max=bad)
+        assert EngineConfig(e_res_max=np.inf).e_res_max == np.inf
+        assert EngineConfig(e_res_max=0.0).e_res_max == 0.0
+
+    def test_threads_other_than_one_rejected(self):
+        model = LinearModel(np.eye(1))
+        cfg = EngineConfig(e_res_max=np.inf, dt=1.0, horizon=1.0)
+        with pytest.raises(ValueError):
+            anticipate(single(Gaussian(np.zeros(1), np.eye(1))), model, cfg, threads=2)
+
+    def test_model_failure_names_the_mixand_label(self):
+        class FailingModel(LinearModel):
+            def f_c_batch(self, alpha_next, xs, vs):
+                raise ModelEvaluationFailure("map undefined here")
+
+        model = FailingModel(np.eye(1))
+        cfg = EngineConfig(e_res_max=np.inf, dt=1.0, horizon=1.0)
+        with pytest.raises(ModelEvaluationFailure, match="alpha='lane-7'.*map undefined here"):
+            anticipate(single(Gaussian(np.zeros(1), np.eye(1)), alpha="lane-7"), model, cfg)
+
+    def test_model_without_batch_dynamics_cannot_be_built(self):
+        class NoDynamics(DynamicsModel):
+            n_x, n_v = 1, 0
+            process_noise = NO_NOISE
+
+            def successor_options(self, alpha):
+                return [(alpha, 1.0)]
+
+            def transition_mask(self, alpha, xs):
+                return np.zeros(len(xs), dtype=bool)
+
+        with pytest.raises(TypeError):
+            NoDynamics()

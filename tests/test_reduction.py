@@ -12,11 +12,11 @@ from hgmm import (
     HybridMixand,
     HybridMixture,
     ReductionConfig,
-    isd_terms,
     mixture_moments,
     normalize,
     reduce_mixture,
 )
+from hgmm.core import gaussian_logpdf
 from hgmm.reduction import merge_cost, merge_pair
 
 
@@ -71,11 +71,13 @@ def mixture_isd(a: HybridMixture, b: HybridMixture) -> float:
     """Symmetric ISD between two mixtures (quadrature-free closed form)."""
 
     def cross(p, q):
-        total = 0.0
-        for mp in p.mixands:
-            _, j12, _, _ = isd_terms(mp.gaussian, [(mq.weight, mq.gaussian) for mq in q.mixands])
-            total += mp.weight * j12
-        return total
+        # Sum of w_i w_j N(mu_i; mu_j, S_i + S_j) over all component pairs.
+        return sum(
+            mp.weight * mq.weight * np.exp(gaussian_logpdf(
+                mq.gaussian.mean, mp.gaussian.cov + mq.gaussian.cov, mp.gaussian.mean)[0])
+            for mp in p.mixands
+            for mq in q.mixands
+        )
 
     return cross(a, a) - 2.0 * cross(a, b) + cross(b, b)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgmm import Gaussian, ProcessNoise, NO_NOISE
+from hgmm.errors import DimensionMismatchError
 from hgmm.sigma import (
     RecombinationWeights,
     default_lambda,
@@ -53,7 +54,7 @@ class TestPropagation:
     def test_identity_map(self):
         g = Gaussian(np.array([1.0, -1.0]), np.diag([1.0, 2.0]))
         s = generate_sigma_points(g, NO_NOISE)
-        out = propagate_points(s, None, lambda a, x, v: x)
+        out = propagate_points(s, None, lambda a, xs, vs: xs)
         assert np.allclose(out, s.state_points)
 
     def test_linear_map_columnwise(self, rng):
@@ -61,9 +62,17 @@ class TestPropagation:
         b = rng.normal(size=(2, 1))
         g = Gaussian(rng.normal(size=2), np.diag([1.0, 0.5]))
         s = generate_sigma_points(g, ProcessNoise(np.array([[0.3]])))
-        out = propagate_points(s, None, lambda al, x, v: a @ x + b @ v)
+        rowwise = lambda al, xs, vs: np.array([a @ x + b @ v for x, v in zip(xs, vs)])
+        out = propagate_points(s, None, rowwise)
         expected = s.state_points @ a.T + s.noise_points @ b.T
         assert np.allclose(out, expected)
+
+    def test_wrong_output_shape_raises(self):
+        s = generate_sigma_points(Gaussian(np.zeros(2), np.eye(2)), ProcessNoise(np.eye(1)))
+        with pytest.raises(DimensionMismatchError):
+            propagate_points(s, None, lambda al, xs, vs: xs[:, :1])
+        with pytest.raises(DimensionMismatchError):
+            propagate_points(s, None, lambda al, xs, vs: xs[:-1])
 
 
 class TestRecombination:
@@ -99,7 +108,7 @@ class TestRecombination:
         cov_v = np.array([[0.09]])
         g = Gaussian(np.array([1.0, 2.0]), np.diag([0.5, 1.5]))
         s = generate_sigma_points(g, ProcessNoise(cov_v))
-        out = propagate_points(s, None, lambda al, x, v: a @ x + b @ v)
+        out = propagate_points(s, None, lambda al, xs, vs: xs @ a.T + vs @ b.T)
         got = recombine(out, s.weights())
         assert np.allclose(got.mean, a @ g.mean, atol=1e-9)
         assert np.allclose(got.cov, a @ g.cov @ a.T + b @ cov_v @ b.T, atol=1e-8)
