@@ -135,9 +135,3 @@ def run_benchmark(
                                           truth, grid)
     return BenchmarkResult(model_name, samples, seed, no_split, with_split, residuals)
 
-
-def correlation_study(model_name: str, samples: int = 100, seed: int = 0) -> float:
-    """Correlation between the affine-fit residual and the no-split divergence."""
-    if samples < 30:
-        raise ValueError("need at least 30 samples for a stable correlation")
-    return run_benchmark(model_name, samples, seed).correlation

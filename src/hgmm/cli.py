@@ -359,6 +359,8 @@ def _write_metric_csv(path, times, values):
 
 
 def cmd_evaluate(args, parser) -> int:
+    if args.samples < 1:
+        parser.error("--samples must be positive")
     times, frames = load_frames(args.frames)
     if len(frames) == 0:
         parser.error("frames file is empty")

@@ -177,9 +177,7 @@ class ProcessNoise:
             _check_symmetric(cov)
             try:
                 cholesky(cov, lower=True)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise IndefiniteMatrixError("process noise must be positive definite") from exc
-            except Exception as exc:
+            except np.linalg.LinAlgError as exc:
                 raise IndefiniteMatrixError("process noise must be positive definite") from exc
         cov.setflags(write=False)
         object.__setattr__(self, "cov", cov)
@@ -205,7 +203,7 @@ def matrix_sqrt(cov: np.ndarray) -> np.ndarray:
     sym = symmetrize(cov)
     try:
         return cholesky(sym, lower=True)
-    except Exception:
+    except np.linalg.LinAlgError:
         pass
     w, v = eigh(sym)
     tr = max(np.trace(sym), 0.0)

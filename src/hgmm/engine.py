@@ -88,6 +88,8 @@ class EngineConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if not self.e_res_max >= 0.0:
             raise ValueError(f"e_res_max must be non-negative or inf, got {self.e_res_max}")
+        if self.normalization not in ("raw", "scaled"):
+            raise ValueError(f"normalization must be raw or scaled, got {self.normalization!r}")
         steps = self.horizon / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("horizon must be an integer multiple of dt")
@@ -130,8 +132,9 @@ def _propagate_mixand(
         raise ModelEvaluationFailure(
             f"dynamics evaluation failed for mixand alpha={m.discrete!r}: {exc}"
         ) from exc
+    if lib is None or not math.isfinite(cfg.e_res_max):
+        return [HybridMixand(m.weight, m.discrete, recombine(propagated, sigma_set.weights()))]
     n_state = 1 + 2 * model.n_x
-    can_split = lib is not None and math.isfinite(cfg.e_res_max)
     report = assess_linearity(
         sigma_set.state_block(),
         propagated[:n_state],
@@ -139,7 +142,7 @@ def _propagate_mixand(
         normalization=cfg.normalization,
         e_res_max=cfg.e_res_max,
     )
-    split_needed = can_split and not report.passed
+    split_needed = not report.passed
     if split_needed and depth >= cfg.max_split_depth:
         stats["depth_capped"] = stats.get("depth_capped", 0) + 1
         split_needed = False

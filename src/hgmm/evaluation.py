@@ -73,18 +73,33 @@ class ParticleSet:
         return self.states.shape[0]
 
 
+def _draw_mixture(rng, mix: HybridMixture, labels: np.ndarray,
+                  dims: slice = slice(None)) -> np.ndarray:
+    """One row per entry of ``labels``, drawn from the mixand it indexes.
+
+    Each mixand draws all of its rows in one ``multivariate_normal`` call,
+    in mixand order.  ``dims`` selects a marginal over the coordinates.
+    """
+    out = np.empty((labels.shape[0], len(range(mix.dim)[dims])))
+    for c, m in enumerate(mix.mixands):
+        rows = np.nonzero(labels == c)[0]
+        if rows.size:
+            out[rows] = rng.multivariate_normal(m.gaussian.mean[dims],
+                                                m.gaussian.cov[dims, dims], size=rows.size)
+    return out
+
+
 def sample_particles(mix: HybridMixture, count: int, seed: int = 0) -> ParticleSet:
-    """Draw an initial particle set from a hybrid mixture."""
+    """Draw an initial particle set from a hybrid mixture.
+
+    Draws are grouped per mixand, so for a mixture of more than one mixand
+    the states follow a different random stream than one draw per particle.
+    """
     rng = np.random.default_rng(seed)
     weights = np.array([m.weight for m in mix.mixands])
     choice = rng.choice(len(weights), size=count, p=weights / weights.sum())
-    states = np.empty((count, mix.dim))
-    alphas = []
-    for i, c in enumerate(choice):
-        m = mix.mixands[c]
-        states[i] = rng.multivariate_normal(m.gaussian.mean, m.gaussian.cov)
-        alphas.append(m.discrete)
-    return ParticleSet(states, tuple(alphas), seed)
+    states = _draw_mixture(rng, mix, choice)
+    return ParticleSet(states, tuple(mix.mixands[c].discrete for c in choice), seed)
 
 
 def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
@@ -140,25 +155,17 @@ def default_grid(mix: HybridMixture, n_points: int = 20000, width: float = 8.0) 
     return np.linspace(float(mean[0]) - width * sd, float(mean[0]) + width * sd, n_points)
 
 
-def numerical_kld(approx_density, truth_density, grid: np.ndarray,
-                  direction: str = "printed") -> float:
+def numerical_kld(approx_density, truth_density, grid: np.ndarray) -> float:
     """Trapezoid-rule divergence between two scalar densities on a grid.
 
-    ``direction="printed"`` integrates log(approx/truth) against the
-    approximation (the benchmark form); ``"conventional"`` integrates
-    log(truth/approx) against the truth.
+    Integrates log(approx/truth) against the approximation (the benchmark
+    form).
     """
     p_hat = np.clip(np.asarray(approx_density(grid), dtype=float), _DENSITY_FLOOR, None)
     p = np.clip(np.asarray(truth_density(grid), dtype=float), _DENSITY_FLOOR, None)
     if not (np.isfinite(p_hat).all() and np.isfinite(p).all()):
         raise NonFiniteDensityError("density not finite on the integration grid")
-    if direction == "printed":
-        integrand = np.log(p_hat / p) * p_hat
-    elif direction == "conventional":
-        integrand = np.log(p / p_hat) * p
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return float(np.trapezoid(integrand, grid))
+    return float(np.trapezoid(np.log(p_hat / p) * p_hat, grid))
 
 
 def pearson(xs, ys) -> float:
@@ -235,6 +242,8 @@ def log_likelihood(frames, obs: TrackObservations, dt: float, t0: float = 0.0) -
 def eote(frames, network: RoadNetwork, route, samples: int = 10000, seed: int = 0) -> float:
     """Expected distance of predicted position from the route centerline,
     summed over the horizon, by Monte-Carlo sampling of each frame."""
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
     rng = np.random.default_rng(seed)
     points = [network.segments[route[0]].centerline]
     for seg_id in route[1:]:
@@ -244,14 +253,7 @@ def eote(frames, network: RoadNetwork, route, samples: int = 10000, seed: int = 
     for mix in frames:
         weights = np.array([m.weight for m in mix.mixands])
         counts = rng.multinomial(samples, weights / weights.sum())
-        draws = []
-        for m, c in zip(mix.mixands, counts):
-            if c == 0:
-                continue
-            mean = m.gaussian.mean[:2]
-            cov = m.gaussian.cov[:2, :2]
-            draws.append(rng.multivariate_normal(mean, cov, size=c))
-        xy = np.vstack(draws)
+        xy = _draw_mixture(rng, mix, np.repeat(np.arange(len(counts)), counts), slice(2))
         _, d = line.project(xy)
         total += float(np.mean(d))
     return total
@@ -296,6 +298,8 @@ def collision_probability(frames, ego_poses, ego_footprint=(4.5, 2.0),
     ``ego_poses`` is an (K, 3) array of (x, y, heading), one row per frame.
     Returns (probabilities, lower, upper) with a binomial 95% interval.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
     ego_poses = np.atleast_2d(np.asarray(ego_poses, dtype=float))
     if ego_poses.shape[0] != len(frames):
         raise DimensionMismatchError("one ego pose required per frame")
@@ -304,12 +308,7 @@ def collision_probability(frames, ego_poses, ego_footprint=(4.5, 2.0),
     for i, mix in enumerate(frames):
         weights = np.array([m.weight for m in mix.mixands])
         counts = rng.multinomial(samples, weights / weights.sum())
-        draws = []
-        for m, c in zip(mix.mixands, counts):
-            if c == 0:
-                continue
-            draws.append(rng.multivariate_normal(m.gaussian.mean, m.gaussian.cov, size=c))
-        states = np.vstack(draws)
+        states = _draw_mixture(rng, mix, np.repeat(np.arange(len(counts)), counts))
         heading = states[:, 3] if states.shape[1] >= 4 else np.zeros(states.shape[0])
         obs_corners = _rect_corners(states[:, 0], states[:, 1], heading, *obstacle_footprint)
         ex, ey, eth = ego_poses[i]

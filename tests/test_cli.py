@@ -25,7 +25,8 @@ def run_cli(*argv):
         return exc.code
 
 
-def write_scenario(path, horizon=1.0, e_res_max=0.1, cov=None, max_mixands=10):
+def write_scenario(path, horizon=1.0, e_res_max=0.1, cov=None, max_mixands=10,
+                   normalization="raw"):
     cov = cov or [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 0.05]]
     scenario = {
         "model": "bicycle",
@@ -37,7 +38,7 @@ def write_scenario(path, horizon=1.0, e_res_max=0.1, cov=None, max_mixands=10):
             "max_mixands": max_mixands,
             "dt": 0.1,
             "horizon": horizon,
-            "normalization": "raw",
+            "normalization": normalization,
         },
         "initial": {
             "mixands": [
@@ -171,12 +172,16 @@ class TestRun:
         ["--dt", "0"], ["--dt", "-0.1"], ["--dt", "nan"], ["--horizon", "0"],
         ["--horizon", "-1"], ["--horizon", "inf"], ["--e-res-max", "nan"],
         ["--e-res-max", "-0.1"],
+        pytest.param({"normalization": "bogus"}, id="scenario-normalization-bogus"),
     ])
     def test_degenerate_engine_config_is_usage_error(self, tmp_path, flag):
+        # A dict case sets scenario engine fields instead of command-line flags.
+        fields = flag if isinstance(flag, dict) else {}
+        argv = [] if isinstance(flag, dict) else flag
         scen = tmp_path / "scenario.json"
-        write_scenario(scen, horizon=0.3)
+        write_scenario(scen, horizon=0.3, **fields)
         out = tmp_path / "frames.jsonl"
-        assert run_cli("run", "--scenario", str(scen), "--out", str(out), *flag) == 2
+        assert run_cli("run", "--scenario", str(scen), "--out", str(out), *argv) == 2
         assert not out.exists()
 
     def test_split_heavy_sequential_identical_across_processes(self, tmp_path):
@@ -259,6 +264,18 @@ class TestEvaluate:
         )
         assert code == 0
         assert "eote total=0.0000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("metric", ["eote", "collision"])
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples(self, tmp_path, metric, samples):
+        frames = tmp_path / "frames.jsonl"
+        write_frames(frames, [point_mass_frame(1, 0.1, (40.0, 0.0))])
+        code = run_cli(
+            "evaluate", "--frames", str(frames), "--metric", metric,
+            "--network", "straight", "--route", "main", "--ego", str(tmp_path / "ego.csv"),
+            "--samples", samples,
+        )
+        assert code == 2
 
     def test_collision_disjoint_is_zero(self, tmp_path, capsys):
         frames = tmp_path / "frames.jsonl"

@@ -160,6 +160,8 @@ class TestAnticipate:
                 EngineConfig(e_res_max=bad)
         assert EngineConfig(e_res_max=np.inf).e_res_max == np.inf
         assert EngineConfig(e_res_max=0.0).e_res_max == 0.0
+        with pytest.raises(ValueError):
+            EngineConfig(normalization="bogus")
 
     def test_threads_other_than_one_rejected(self):
         model = LinearModel(np.eye(1))

@@ -13,6 +13,8 @@ from hgmm.errors import (
 )
 from hgmm.evaluation import (
     TrackObservations,
+    _rect_corners,
+    _rects_overlap,
     collision_probability,
     eote,
     log_likelihood,
@@ -23,7 +25,7 @@ from hgmm.evaluation import (
     propagate_particles,
     sample_particles,
 )
-from hgmm.models import BicycleModel, intersection_network, straight_road_network
+from hgmm.models import BicycleModel, Polyline, intersection_network, straight_road_network
 
 from test_engine import LinearModel, single
 
@@ -32,7 +34,99 @@ def gaussian_density(mu, var):
     return lambda x: np.exp(-0.5 * (x - mu) ** 2 / var) / math.sqrt(2 * math.pi * var)
 
 
+def per_particle_samples(mix, count, seed):
+    """Reference: one multivariate_normal call per particle."""
+    rng = np.random.default_rng(seed)
+    weights = np.array([m.weight for m in mix.mixands])
+    choice = rng.choice(len(weights), size=count, p=weights / weights.sum())
+    states = np.empty((count, mix.dim))
+    alphas = []
+    for i, c in enumerate(choice):
+        m = mix.mixands[c]
+        states[i] = rng.multivariate_normal(m.gaussian.mean, m.gaussian.cov)
+        alphas.append(m.discrete)
+    return states, tuple(alphas)
+
+
+def multinomial_draws(rng, mix, samples, dims=slice(None)):
+    """Reference: multinomial counts, then one stacked draw per nonempty mixand."""
+    weights = np.array([m.weight for m in mix.mixands])
+    counts = rng.multinomial(samples, weights / weights.sum())
+    draws = []
+    for m, c in zip(mix.mixands, counts):
+        if c == 0:
+            continue
+        draws.append(rng.multivariate_normal(m.gaussian.mean[dims], m.gaussian.cov[dims, dims],
+                                             size=c))
+    return np.vstack(draws)
+
+
+def reference_eote(frames, network, route, samples, seed):
+    rng = np.random.default_rng(seed)
+    points = [network.segments[route[0]].centerline]
+    for seg_id in route[1:]:
+        points.append(network.segments[seg_id].centerline[1:])
+    line = Polyline(np.vstack(points))
+    total = 0.0
+    for mix in frames:
+        _, d = line.project(multinomial_draws(rng, mix, samples, slice(2)))
+        total += float(np.mean(d))
+    return total
+
+
+def reference_collision(frames, ego_poses, samples, seed, footprint=(4.5, 2.0)):
+    rng = np.random.default_rng(seed)
+    probs = np.empty(len(frames))
+    for i, mix in enumerate(frames):
+        states = multinomial_draws(rng, mix, samples)
+        ex, ey, eth = ego_poses[i]
+        obs = _rect_corners(states[:, 0], states[:, 1], states[:, 3], *footprint)
+        ego = _rect_corners(np.array(ex), np.array(ey), np.array(eth), *footprint)
+        probs[i] = _rects_overlap(obs, ego).mean()
+    return probs
+
+
+def three_mixand_frame(x0, weights=(0.6, 1e-9, 0.4 - 1e-9)):
+    """By default the middle mixand is too light to draw any of 2000 samples."""
+    gaussians = (
+        Gaussian(np.array([x0, 0.5, 9.0, 0.0]), np.diag([4.0, 1.0, 0.5, 0.05])),
+        Gaussian(np.array([x0, 3.0, 9.0, 0.2]), np.eye(4)),
+        Gaussian(np.array([x0 + 1.0, -1.0, 8.0, -0.1]), np.diag([2.0, 0.5, 0.5, 0.02])),
+    )
+    return HybridMixture(tuple(
+        HybridMixand(w, label, g) for w, label, g in zip(weights, "abc", gaussians)
+    ))
+
+
+def three_mixand_frames():
+    return [three_mixand_frame(40.0 + i) for i in range(3)]
+
+
 class TestParticles:
+    def test_single_mixand_matches_per_particle_draws(self):
+        g = Gaussian(np.array([3.0, -1.0, 9.0, 0.1]), np.diag([2.0, 0.5, 1.0, 0.01]))
+        for seed, count in ((3, 1), (4, 257), (11, 5000)):
+            states, alphas = per_particle_samples(single(g), count, seed)
+            ps = sample_particles(single(g), count, seed)
+            assert np.array_equal(ps.states, states)
+            assert ps.alphas == alphas
+        g2 = Gaussian(np.array([1.0, -2.0]), np.array([[2.0, 0.5], [0.5, 1.0]]))
+        states, _ = per_particle_samples(single(g2), 2000, 3)
+        assert np.allclose(sample_particles(single(g2), 2000, 3).states, states,
+                           rtol=0, atol=1e-12)
+
+    def test_mixture_labels_and_moments(self):
+        mix = three_mixand_frame(40.0, weights=(0.5, 0.2, 0.3))
+        count = 20_000
+        ps = sample_particles(mix, count, seed=5)
+        alphas = np.array(ps.alphas, dtype=object)
+        for m in mix.mixands:
+            rows = ps.states[alphas == m.discrete]
+            frac = rows.shape[0] / count
+            assert abs(frac - m.weight) < 3 * math.sqrt(m.weight * (1 - m.weight) / count)
+            se = np.sqrt(np.diag(m.gaussian.cov) / rows.shape[0])
+            assert np.all(np.abs(rows.mean(axis=0) - m.gaussian.mean) < 3 * se)
+
     def test_sampling_matches_moments(self):
         g = Gaussian(np.array([1.0, -2.0]), np.array([[2.0, 0.5], [0.5, 1.0]]))
         ps = sample_particles(single(g), 200_000, seed=3)
@@ -80,18 +174,6 @@ class TestNumericalKld:
         p_hat = gaussian_density(0.5, 1.0)
         p = gaussian_density(0.0, 1.0)
         assert numerical_kld(p_hat, p, grid) == pytest.approx(0.125, abs=1e-4)
-        assert numerical_kld(p_hat, p, grid, direction="conventional") == pytest.approx(
-            0.125, abs=1e-4
-        )
-
-    def test_unknown_direction(self):
-        with pytest.raises(ValueError):
-            numerical_kld(
-                gaussian_density(0.0, 1.0),
-                gaussian_density(0.0, 1.0),
-                np.linspace(-1, 1, 11),
-                direction="sideways",
-            )
 
 
 class TestNll:
@@ -148,6 +230,20 @@ class TestEote:
         assert eote([single(g)], net, ["main"]) == pytest.approx(2.0, abs=1e-4)
 
 
+    def test_matches_multinomial_reference(self):
+        net = straight_road_network()
+        frames = three_mixand_frames()
+        for seed in (0, 6):
+            assert eote(frames, net, ["main"], 2000, seed) == reference_eote(
+                frames, net, ["main"], 2000, seed)
+
+    def test_nonpositive_samples(self):
+        net = straight_road_network()
+        for bad in (0, -5):
+            with pytest.raises(ValueError):
+                eote(three_mixand_frames(), net, ["main"], samples=bad)
+
+
 class TestCollision:
     def frame_at(self, xy, cov_scale=1e-6, w=1.0, extra=None):
         mixands = [
@@ -182,6 +278,20 @@ class TestCollision:
         frame = self.frame_at((0.0, 0.0))
         with pytest.raises(DimensionMismatchError):
             collision_probability([frame], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+
+
+    def test_matches_multinomial_reference(self):
+        frames = three_mixand_frames()
+        poses = np.array([[40.0 + i, 1.0, 0.1] for i in range(len(frames))])
+        for seed in (0, 6):
+            probs, _, _ = collision_probability(frames, poses, samples=2000, seed=seed)
+            assert np.array_equal(probs, reference_collision(frames, poses, 2000, seed))
+
+    def test_nonpositive_samples(self):
+        frame = self.frame_at((0.0, 0.0))
+        for bad in (0, -5):
+            with pytest.raises(ValueError):
+                collision_probability([frame], [[0.0, 0.0, 0.0]], samples=bad)
 
 
 class TestPearson:
