@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .benchmark import BENCHMARK_MODELS, run_benchmark
+from .benchmark import BENCHMARK_MODELS, make_benchmark_model, run_benchmark
 from .core import Gaussian, HybridMixand, HybridMixture
 from .engine import EngineConfig, anticipate
 from .errors import (
@@ -42,7 +42,7 @@ from .evaluation import (
     log_likelihood,
     nll,
 )
-from .models import BicycleModel, CubicModel, RoadNetwork, UngmModel, builtin_network
+from .models import BicycleModel, RoadNetwork, builtin_network
 from .reduction import ReductionConfig
 from .serialize import to_json
 from .splitting import SplitLibrary, build_library
@@ -60,19 +60,12 @@ BUILTIN_NETWORKS = ("straight", "turn", "intersection")
 
 
 def _sha256(path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _int_list(text: str) -> list:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _float_list(text: str) -> list:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _number_list(text: str, kind) -> list:
+    return [kind(tok) for tok in text.split(",") if tok.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -81,18 +74,16 @@ def _float_list(text: str) -> list:
 
 def cmd_optimize_split(args, parser) -> int:
     try:
-        n_values = _int_list(args.n)
-        sigma_values = _float_list(args.sigma)
+        n_values = _number_list(args.n, int)
+        sigma_values = _number_list(args.sigma, float)
     except ValueError:
         parser.error("--n and --sigma must be comma-separated numbers")
     if not n_values or not sigma_values:
         parser.error("--n and --sigma must be non-empty")
-    for n in n_values:
-        if n < 1 or n % 2 == 0:
-            parser.error("N must be odd")
-    for s in sigma_values:
-        if not 0.0 < s <= 1.0:
-            parser.error("sigma must lie in (0, 1]")
+    if any(n < 1 or n % 2 == 0 for n in n_values):
+        parser.error("N must be odd")
+    if not all(0.0 < s <= 1.0 for s in sigma_values):
+        parser.error("sigma must lie in (0, 1]")
     if args.grid_step <= 0 or args.grid_max <= 0:
         parser.error("grid step and max must be positive")
 
@@ -154,15 +145,10 @@ def cmd_benchmark(args, parser) -> int:
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
-            header = ["sample", "e_res", "kld_no_split"]
-            if res.split_kld is not None:
-                header.append("kld_split")
-            w.writerow(header)
+            cols = [c for c in (res.e_res, res.no_split_kld, res.split_kld) if c is not None]
+            w.writerow(["sample", "e_res", "kld_no_split", "kld_split"][: 1 + len(cols)])
             for i in range(res.samples):
-                row = [i, repr(res.e_res[i]), repr(res.no_split_kld[i])]
-                if res.split_kld is not None:
-                    row.append(repr(res.split_kld[i]))
-                w.writerow(row)
+                w.writerow([i] + [repr(c[i]) for c in cols])
     return EXIT_OK
 
 
@@ -170,18 +156,20 @@ def cmd_benchmark(args, parser) -> int:
 # run
 # ---------------------------------------------------------------------------
 
+def _network(spec: str) -> RoadNetwork:
+    """A builtin network by name, or one read from a JSON path."""
+    return builtin_network(spec) if spec in BUILTIN_NETWORKS else RoadNetwork.load(spec)
+
+
 def _load_network(args, scenario):
     if args.network:
-        if args.network in BUILTIN_NETWORKS:
-            return builtin_network(args.network), args.network
-        return RoadNetwork.load(args.network), args.network
+        return _network(args.network), args.network
     name = scenario.get("network")
     if name is None:
         return None, None
-    if name in BUILTIN_NETWORKS:
-        return builtin_network(name), name
-    path = os.path.join(os.path.dirname(os.path.abspath(args.scenario)), name)
-    return RoadNetwork.load(path), name
+    # A file name in the scenario is relative to the scenario's directory.
+    scenario_dir = os.path.dirname(os.path.abspath(args.scenario))
+    return _network(name if name in BUILTIN_NETWORKS else os.path.join(scenario_dir, name)), name
 
 
 def _build_model(scenario, network):
@@ -190,44 +178,32 @@ def _build_model(scenario, network):
         if network is None:
             raise ValueError("bicycle scenarios require a road network")
         return BicycleModel(network), name
-    if name == "ungm":
-        return UngmModel(), name
-    if name == "cubic":
-        return CubicModel(), name
+    if name in BENCHMARK_MODELS:
+        return make_benchmark_model(name), name
     raise ValueError(f"unknown model {name!r}")
 
 
-def _initial_mixture(scenario, model_name) -> HybridMixture:
-    mixands = []
-    for m in scenario["initial"]["mixands"]:
-        alpha = m["alpha"]
-        if model_name in BENCHMARK_MODELS:
-            alpha = int(alpha)
-        mixands.append(
-            HybridMixand(
-                float(m["w"]),
-                alpha,
-                Gaussian(np.asarray(m["mu"], dtype=float), np.asarray(m["sigma"], dtype=float)),
-            )
-        )
-    return HybridMixture(tuple(mixands))
+def _read_mixture(records, time_index: int = 0, int_labels: bool = False) -> HybridMixture:
+    """Mixture from scenario or frame file records; the public constructors validate it."""
+    return HybridMixture(tuple(
+        HybridMixand(float(m["w"]), int(m["alpha"]) if int_labels else m["alpha"], Gaussian(
+            np.asarray(m["mu"], dtype=float), np.asarray(m["sigma"], dtype=float)))
+        for m in records
+    ), time_index)
 
 
 def _engine_config(scenario, args) -> EngineConfig:
     eng = dict(scenario.get("engine", {}))
-    for flag in ("e_res_max", "horizon", "dt"):
+    for flag in ("e_res_max", "horizon", "dt", "max_mixands"):
         val = getattr(args, flag)
         if val is not None:
             eng[flag] = val
-    if args.max_mixands is not None:
-        eng["max_mixands"] = args.max_mixands
-    cap = int(eng.pop("max_mixands", 10))
     return EngineConfig(
         e_res_max=float(eng.get("e_res_max", 0.1)),
         split_n=int(eng.get("split_n", 5)),
         split_sigma=float(eng.get("split_sigma", 0.3)),
         max_split_depth=int(eng.get("max_split_depth", 4)),
-        reduction=ReductionConfig(cap),
+        reduction=ReductionConfig(int(eng.get("max_mixands", 10))),
         lam=eng.get("lam"),
         dt=float(eng.get("dt", 0.1)),
         horizon=float(eng.get("horizon", 3.5)),
@@ -240,13 +216,8 @@ def _frame_record(k: int, t: float, mix: HybridMixture) -> dict:
         "k": k,
         "t": t,
         "mixands": [
-            {
-                "w": m.weight,
-                "alpha": str(m.discrete),
-                "mu": [float(v) for v in m.gaussian.mean],
-                "sigma": [[float(v) for v in row] for row in m.gaussian.cov],
-            }
-            for m in mix.mixands
+            {"w": w, "alpha": str(alpha), "mu": mean.tolist(), "sigma": cov.tolist()}
+            for w, alpha, mean, cov in zip(mix.weights.tolist(), mix.labels, mix.means, mix.covs)
         ],
     }
 
@@ -260,7 +231,8 @@ def cmd_run(args, parser) -> int:
         network, network_name = _load_network(args, scenario)
         model, model_name = _build_model(scenario, network)
         cfg = _engine_config(scenario, args)
-        initial = _initial_mixture(scenario, model_name)
+        initial = _read_mixture(scenario["initial"]["mixands"],
+                                int_labels=model_name in BENCHMARK_MODELS)
     except (KeyError, ValueError) as exc:
         parser.error(str(exc))
     lib = SplitLibrary.load(args.cache) if args.cache else None
@@ -330,24 +302,10 @@ def cmd_run(args, parser) -> int:
 
 def load_frames(path):
     """Read a JSON-Lines frames file; returns (times, mixtures)."""
-    times, mixtures = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            mixands = tuple(
-                HybridMixand(
-                    float(m["w"]),
-                    m["alpha"],
-                    Gaussian(np.asarray(m["mu"], dtype=float), np.asarray(m["sigma"], dtype=float)),
-                )
-                for m in rec["mixands"]
-            )
-            times.append(float(rec["t"]))
-            mixtures.append(HybridMixture(mixands, time_index=int(rec["k"])))
-    return np.array(times), mixtures
+        records = [json.loads(line) for line in fh if line.strip()]
+    return (np.array([float(rec["t"]) for rec in records]),
+            [_read_mixture(rec["mixands"], int(rec["k"])) for rec in records])
 
 
 def _write_metric_csv(path, times, values):
@@ -393,21 +351,12 @@ def cmd_evaluate(args, parser) -> int:
         except NoFrameMatchError as exc:
             print(f"timestamp mismatch: {exc}", file=sys.stderr)
             return EXIT_TIMESTAMPS
-        times_out = obs_t
-        values = np.array(values)
+        times, values = obs_t, np.array(values)
         summary = f"ll total={values.sum():.4f} over {len(values)} observations"
-        if args.out:
-            _write_metric_csv(args.out, times_out, values)
-        print(summary)
-        return EXIT_OK
     elif args.metric == "eote":
         if not args.network or not args.route:
             parser.error("--network and --route are required for the eote metric")
-        network = (
-            builtin_network(args.network)
-            if args.network in BUILTIN_NETWORKS
-            else RoadNetwork.load(args.network)
-        )
+        network = _network(args.network)
         route = [tok for tok in args.route.split(",") if tok]
         values = np.array(
             [eote([mix], network, route, args.samples, args.seed) for mix in frames]

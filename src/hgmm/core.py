@@ -1,14 +1,18 @@
 """Core distribution types and closed-form Gaussian utilities.
 
 The continuous part of every hypothesis is a plain Gaussian; a hybrid
-mixand attaches a weight and an opaque discrete label to it.  All types
-are immutable after construction and safe to share between workers.
+mixand attaches a weight and an opaque discrete label to it; a mixture
+frame holds its mixands as stacked arrays.  All types are immutable after
+construction.  The public constructors validate what they are given;
+frames built inside the engine get one vectorised check per frame, with
+the same tolerances and error classes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -30,8 +34,8 @@ _EIG_RTOL = 1e-9
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return the symmetric part (m + m.T) / 2."""
-    return 0.5 * (m + m.T)
+    """Return the symmetric part (m + m.T) / 2 of a matrix or of each matrix in a stack."""
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def _as_matrix(cov) -> np.ndarray:
@@ -42,12 +46,26 @@ def _as_matrix(cov) -> np.ndarray:
 
 
 def _check_symmetric(cov: np.ndarray) -> None:
-    scale = np.abs(cov).max()
-    if not np.isfinite(scale):
+    """Finite and symmetric within tolerance: one matrix, or each of a stack."""
+    scale = np.abs(cov).max(axis=(-2, -1))
+    if not np.isfinite(scale).all():
         raise NonFiniteValueError("matrix has a non-finite entry")
-    scale = max(scale, 1.0)
-    if np.abs(cov - cov.T).max() > _SYM_RTOL * scale:
+    asym = np.abs(cov - cov.swapaxes(-1, -2)).max(axis=(-2, -1))
+    if (asym > _SYM_RTOL * np.maximum(scale, 1.0)).any():
         raise NotSymmetricError("matrix is not symmetric within tolerance")
+
+
+def _check_moments(mean: np.ndarray, cov: np.ndarray) -> None:
+    """Finite mean, finite symmetric covariance, no eigenvalue below -1e-9 * trace.
+
+    Checks one Gaussian, or every row of a frame's stacked means and covariances.
+    """
+    if not np.isfinite(mean).all():
+        raise NonFiniteValueError("mean has a non-finite entry")
+    _check_symmetric(cov)
+    low = np.linalg.eigvalsh(symmetrize(cov))[..., 0]
+    if (low < -_EIG_RTOL * np.maximum(cov.trace(axis1=-2, axis2=-1), 1e-300)).any():
+        raise IndefiniteMatrixError(f"covariance has eigenvalue {np.min(low):.3e} below tolerance")
 
 
 @dataclass(frozen=True)
@@ -64,15 +82,7 @@ class Gaussian:
             raise DimensionMismatchError(
                 f"mean dim {mean.shape[0]} != cov dim {cov.shape[0]}"
             )
-        if not np.isfinite(mean).all():
-            raise NonFiniteValueError("mean has a non-finite entry")
-        _check_symmetric(cov)
-        tr = max(np.trace(cov), 0.0)
-        w = np.linalg.eigvalsh(symmetrize(cov))
-        if w.min() < -_EIG_RTOL * max(tr, 1e-300):
-            raise IndefiniteMatrixError(
-                f"covariance has eigenvalue {w.min():.3e} below tolerance"
-            )
+        _check_moments(mean, cov)
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -81,6 +91,15 @@ class Gaussian:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+    @classmethod
+    def _unchecked(cls, mean: np.ndarray, cov: np.ndarray) -> Gaussian:
+        """A Gaussian on moments already checked as part of a frame, or valid by construction."""
+        mean.setflags(write=False)
+        cov.setflags(write=False)
+        g = object.__new__(cls)
+        g.__dict__.update(mean=mean, cov=cov)
+        return g
 
 
 @dataclass(frozen=True)
@@ -96,68 +115,116 @@ class HybridMixand:
             raise ValueError(f"mixand weight must be positive, got {self.weight}")
 
 
-@dataclass(frozen=True)
-class HybridMixture:
-    """Normalized weighted set of hybrid mixands at one time index."""
+def _stack(mixands: Sequence[HybridMixand]) -> tuple:
+    """The (weights, means, covs, labels) arrays of a sequence of mixands."""
+    return (
+        np.array([m.weight for m in mixands], dtype=float),
+        np.stack([m.gaussian.mean for m in mixands]),
+        np.stack([m.gaussian.cov for m in mixands]),
+        tuple(m.discrete for m in mixands),
+    )
 
-    mixands: tuple
+
+def _frame(weights, means, covs, labels, time_index) -> HybridMixture:
+    """Frame on arrays whose weights sum to one, checked once as a whole."""
+    if not (weights > 0).all():
+        raise ValueError("mixand weights must be positive")
+    _check_moments(means, covs)
+    for array in (weights, means, covs):
+        array.setflags(write=False)
+    frame = object.__new__(HybridMixture)
+    frame.__dict__.update(weights=weights, means=means, covs=covs, labels=tuple(labels),
+                          time_index=time_index)
+    return frame
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class HybridMixture:
+    """Normalized weighted set of hybrid mixands at one time index.
+
+    A frame of M mixands in n dimensions is held as read-only arrays,
+    ``weights`` (M,), ``means`` (M, n) and ``covs`` (M, n, n), plus the
+    ``labels`` tuple.  ``mixands`` views them as ``HybridMixand`` objects.
+    """
+
+    weights: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
+    labels: tuple
     time_index: int = 0
 
-    def __post_init__(self):
-        mixands = tuple(self.mixands)
+    def __init__(self, mixands: Sequence[HybridMixand], time_index: int = 0):
+        mixands = tuple(mixands)
         if not mixands:
             raise EmptyMixtureError("mixture must contain at least one mixand")
-        dim = mixands[0].gaussian.dim
-        for m in mixands:
-            if m.gaussian.dim != dim:
-                raise DimensionMismatchError("mixands have differing state dimension")
+        if len({m.gaussian.dim for m in mixands}) > 1:
+            raise DimensionMismatchError("mixands have differing state dimension")
         total = sum(m.weight for m in mixands)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mixand weights sum to {total}, expected 1")
-        object.__setattr__(self, "mixands", mixands)
+        self.__dict__.update(_frame(*_stack(mixands), time_index).__dict__, mixands=mixands)
+
+    @cached_property
+    def mixands(self) -> tuple:
+        gaussians = map(Gaussian._unchecked, self.means, self.covs)
+        return tuple(map(HybridMixand, self.weights.tolist(), self.labels, gaussians))
 
     @property
     def dim(self) -> int:
-        return self.mixands[0].gaussian.dim
+        return self.means.shape[1]
 
     def __len__(self) -> int:
-        return len(self.mixands)
+        return len(self.labels)
 
 
 def normalize(
-    mixands: Sequence[HybridMixand],
+    mixands,
     time_index: int = 0,
     weight_floor: float = 0.0,
 ) -> HybridMixture:
     """Rescale weights to sum to one, optionally dropping negligible mixands.
 
+    ``mixands`` is a ``HybridMixture``, an iterable of ``HybridMixand``, or
+    a ``(weights, means, covs, labels)`` tuple, whose arrays are copied.
     With a positive ``weight_floor``, mixands lighter than the floor after
-    the first normalization pass are removed and weights renormalized.
+    the first normalization pass are removed and weights renormalized.  A
+    frame that this leaves unchanged is returned as it is.
     """
-    mixands = list(mixands)
-    if not mixands:
-        raise EmptyMixtureError("cannot normalize an empty mixand list")
-    total = sum(m.weight for m in mixands)
+    frame = mixands if isinstance(mixands, HybridMixture) else None
+    if frame is not None:
+        weights, means, covs, labels = frame.weights, frame.means, frame.covs, frame.labels
+    else:
+        mixands = tuple(mixands)
+        if mixands and isinstance(mixands[0], HybridMixand):
+            mixands = _stack(mixands)
+        if not mixands or not len(mixands[0]):
+            raise EmptyMixtureError("cannot normalize an empty mixand list")
+        weights, means, covs = (np.array(a, dtype=float) for a in mixands[:3])
+        labels = mixands[3]
+    # Totals are summed left to right, as Python's sum does, so no weight
+    # depends on NumPy's pairwise summation order.
+    total = sum(weights.tolist())
     if total <= 0:
         raise ValueError("total weight must be positive")
-    scaled = [(m.weight / total, m) for m in mixands]
+    weights = weights / total
     if weight_floor > 0.0:
-        kept = [(w, m) for w, m in scaled if w >= weight_floor]
-        if kept:
-            scaled = kept
-            total2 = sum(w for w, _ in scaled)
-            scaled = [(w / total2, m) for w, m in scaled]
-    out = [HybridMixand(w, m.discrete, m.gaussian) for w, m in scaled]
+        kept = weights >= weight_floor
+        if kept.any():
+            if not kept.all():
+                weights, means, covs = weights[kept], means[kept], covs[kept]
+                labels = tuple(label for label, keep in zip(labels, kept) if keep)
+            weights = weights / sum(weights.tolist())
     # Nudge the largest weight so the sum is exactly representable as 1;
     # a second pass absorbs any last-bit rounding from the first.
     for _ in range(3):
-        s = sum(m.weight for m in out)
+        s = sum(weights.tolist())
         if s == 1.0:
             break
-        i = max(range(len(out)), key=lambda j: out[j].weight)
-        w_fix = out[i].weight + (1.0 - s)
-        out[i] = HybridMixand(w_fix, out[i].discrete, out[i].gaussian)
-    return HybridMixture(tuple(out), time_index)
+        weights[int(np.argmax(weights))] += 1.0 - s
+    if (frame is not None and time_index == frame.time_index
+            and len(weights) == len(frame) and (weights == frame.weights).all()):
+        return frame
+    return _frame(weights, means, covs, labels, time_index)
 
 
 @dataclass(frozen=True)
@@ -165,12 +232,12 @@ class ProcessNoise:
     """Time-invariant zero-mean Gaussian process noise."""
 
     cov: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    # matrix_sqrt(cov), computed once for every sigma-point set that uses it.
+    sqrt: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cov = np.asarray(self.cov, dtype=float)
-        if cov.size == 0:
-            cov = cov.reshape(0, 0)
-        cov = np.atleast_2d(cov) if cov.size else cov
+        cov = np.atleast_2d(cov) if cov.size else cov.reshape(0, 0)
         if cov.shape[0] != cov.shape[1]:
             raise DimensionMismatchError("process noise covariance must be square")
         if cov.shape[0] > 0:
@@ -179,15 +246,15 @@ class ProcessNoise:
                 cholesky(cov, lower=True)
             except np.linalg.LinAlgError as exc:
                 raise IndefiniteMatrixError("process noise must be positive definite") from exc
-        cov.setflags(write=False)
+        sqrt = matrix_sqrt(cov)
+        for array in (cov, sqrt):
+            array.setflags(write=False)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "sqrt", sqrt)
 
     @property
     def dim(self) -> int:
         return self.cov.shape[0]
-
-
-NO_NOISE = ProcessNoise(np.zeros((0, 0)))
 
 
 def matrix_sqrt(cov: np.ndarray) -> np.ndarray:
@@ -213,6 +280,9 @@ def matrix_sqrt(cov: np.ndarray) -> np.ndarray:
         )
     w = np.clip(w, 0.0, None)
     return v * np.sqrt(w)
+
+
+NO_NOISE = ProcessNoise(np.zeros((0, 0)))
 
 
 def gaussian_logpdf(mean: np.ndarray, cov: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -265,12 +335,12 @@ def isd_terms(target: Gaussian, mix: Sequence[tuple]) -> tuple:
 
 
 def mixture_moments(mix: HybridMixture) -> tuple:
-    """Mean and covariance of the continuous marginal of a mixture."""
-    mean = np.zeros(mix.dim)
-    for m in mix.mixands:
-        mean += m.weight * m.gaussian.mean
-    cov = np.zeros((mix.dim, mix.dim))
-    for m in mix.mixands:
-        d = m.gaussian.mean - mean
-        cov += m.weight * (m.gaussian.cov + np.outer(d, d))
-    return mean, symmetrize(cov)
+    """Mean and covariance of the continuous marginal of a mixture.
+
+    Terms are summed in mixand order (``np.cumsum``), not pairwise.
+    """
+    w, means = mix.weights, mix.means
+    mean = np.cumsum(w[:, None] * means, axis=0)[-1]
+    d = means - mean
+    terms = w[:, None, None] * (mix.covs + d[:, :, None] * d[:, None, :])
+    return mean, symmetrize(np.cumsum(terms, axis=0)[-1])

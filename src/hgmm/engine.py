@@ -3,7 +3,8 @@
 One anticipation step runs the discrete transition (hypothesis fan-out),
 then the continuous sigma-point propagation with linearity-gated
 recursive splitting, then mixture reduction.  Frames are immutable
-mixtures, one per time step.
+array-backed mixtures, one per time step; within a step each mixand is
+passed as its weight, label and a ``Gaussian`` on rows of those arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from .core import (
     Gaussian,
-    HybridMixand,
     HybridMixture,
     ProcessNoise,
     WEIGHT_FLOOR,
@@ -26,7 +26,7 @@ from .core import (
 from .errors import ModelEvaluationFailure, NoSuccessorError
 from .linearity import assess_linearity
 from .reduction import ReductionConfig, reduce_mixture
-from .sigma import default_lambda, generate_sigma_points, propagate_points, recombine
+from .sigma import generate_sigma_points, propagate_points, recombine
 from .splitting import SplitLibrary, apply_split
 
 log = logging.getLogger(__name__)
@@ -102,59 +102,18 @@ class EngineConfig:
 def step_discrete(mix: HybridMixture, model: DynamicsModel) -> HybridMixture:
     """Fan each mixand out over its possible next discrete states."""
     out = []
-    for m in mix.mixands:
-        succ = model.discrete_successors(m.discrete, m.gaussian)
+    for i, (w, alpha) in enumerate(zip(mix.weights.tolist(), mix.labels)):
+        succ = model.discrete_successors(alpha, Gaussian._unchecked(mix.means[i], mix.covs[i]))
         if not succ:
-            raise NoSuccessorError(f"discrete state {m.discrete!r} has no successors")
+            raise NoSuccessorError(f"discrete state {alpha!r} has no successors")
         total = sum(p for _, p in succ)
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"successor probabilities of {m.discrete!r} sum to {total}")
-        for alpha_next, p in succ:
-            if p <= 0.0:
-                continue
-            out.append(HybridMixand(m.weight * p, alpha_next, m.gaussian))
-    return normalize(out, mix.time_index)
-
-
-def _propagate_mixand(
-    m: HybridMixand,
-    model: DynamicsModel,
-    cfg: EngineConfig,
-    lib: SplitLibrary | None,
-    depth: int,
-    stats: dict,
-) -> list:
-    lam = cfg.lam if cfg.lam is not None else default_lambda(model.n_x, model.n_v)
-    sigma_set = generate_sigma_points(m.gaussian, model.process_noise, lam)
-    try:
-        propagated = propagate_points(sigma_set, m.discrete, model.f_c_batch)
-    except ModelEvaluationFailure as exc:
-        raise ModelEvaluationFailure(
-            f"dynamics evaluation failed for mixand alpha={m.discrete!r}: {exc}"
-        ) from exc
-    if lib is None or not math.isfinite(cfg.e_res_max):
-        return [HybridMixand(m.weight, m.discrete, recombine(propagated, sigma_set.weights()))]
-    n_state = 1 + 2 * model.n_x
-    report = assess_linearity(
-        sigma_set.state_block(),
-        propagated[:n_state],
-        prior_cov=m.gaussian.cov,
-        normalization=cfg.normalization,
-        e_res_max=cfg.e_res_max,
-    )
-    split_needed = not report.passed
-    if split_needed and depth >= cfg.max_split_depth:
-        stats["depth_capped"] = stats.get("depth_capped", 0) + 1
-        split_needed = False
-    if not split_needed:
-        g = recombine(propagated, sigma_set.weights())
-        return [HybridMixand(m.weight, m.discrete, g)]
-    split = lib.get(cfg.split_n, cfg.split_sigma)
-    children = apply_split(m, report.split_axis, split)
-    out = []
-    for child in children:
-        out.extend(_propagate_mixand(child, model, cfg, lib, depth + 1, stats))
-    return out
+            raise ValueError(f"successor probabilities of {alpha!r} sum to {total}")
+        out.extend((i, w * p, alpha_next) for alpha_next, p in succ if p > 0.0)
+    rows, weights, labels = map(list, zip(*out))
+    if weights == mix.weights.tolist() and labels == list(mix.labels):
+        return normalize(mix, mix.time_index)   # no hypothesis moved: keep the checked frame
+    return normalize((weights, mix.means[rows], mix.covs[rows], labels), mix.time_index)
 
 
 def step_continuous(
@@ -163,19 +122,49 @@ def step_continuous(
     cfg: EngineConfig,
     lib: SplitLibrary | None = None,
 ) -> HybridMixture:
-    """Propagate every mixand one time step, splitting where the affine fit fails."""
-    out = []
-    stats: dict = {}
-    for m in mix.mixands:
-        out.extend(_propagate_mixand(m, model, cfg, lib, depth=0, stats=stats))
-    if stats.get("depth_capped"):
+    """Propagate every mixand one time step, splitting where the affine fit fails.
+
+    Split children are propagated depth first, in order, from a stack, so
+    the output keeps the order of the input mixands and of their children.
+    """
+    assess = lib is not None and math.isfinite(cfg.e_res_max)
+    pending = [(w, alpha, Gaussian._unchecked(mean, cov), 0) for w, alpha, mean, cov
+               in zip(mix.weights.tolist(), mix.labels, mix.means, mix.covs)][::-1]
+    out, depth_capped = [], 0
+    while pending:
+        weight, alpha, g, depth = pending.pop()
+        sigma_set = generate_sigma_points(g, model.process_noise, cfg.lam)
+        try:
+            propagated = propagate_points(sigma_set, alpha, model.f_c_batch)
+        except ModelEvaluationFailure as exc:
+            raise ModelEvaluationFailure(
+                f"dynamics evaluation failed for mixand alpha={alpha!r}: {exc}"
+            ) from exc
+        if assess:
+            report = assess_linearity(
+                sigma_set.state_block(),
+                propagated[: 1 + 2 * model.n_x],
+                prior_cov=g.cov,
+                normalization=cfg.normalization,
+                e_res_max=cfg.e_res_max,
+            )
+            if not report.passed and depth < cfg.max_split_depth:
+                split = lib.get(cfg.split_n, cfg.split_sigma)
+                children = apply_split((weight, g), report.split_axis, split)
+                pending.extend((w, alpha, c, depth + 1) for w, c in children[::-1])
+                continue
+            depth_capped += not report.passed
+        g = recombine(propagated, sigma_set.weights())
+        out.append((weight, alpha, g.mean, g.cov))
+    if depth_capped:
         log.warning(
             "split depth cap %d reached for %d mixand(s) at step %d; recombined anyway",
             cfg.max_split_depth,
-            stats["depth_capped"],
+            depth_capped,
             mix.time_index + 1,
         )
-    return normalize(out, mix.time_index + 1)
+    weights, labels, means, covs = zip(*out)
+    return normalize((weights, means, covs, labels), mix.time_index + 1)
 
 
 def anticipate(
@@ -198,6 +187,6 @@ def anticipate(
         current = step_discrete(current, model)
         current = step_continuous(current, model, cfg, lib)
         current = reduce_mixture(current, cfg.reduction)
-        current = normalize(current.mixands, current.time_index, weight_floor=WEIGHT_FLOOR)
+        current = normalize(current, current.time_index, weight_floor=WEIGHT_FLOOR)
         frames.append(current)
     return frames

@@ -36,15 +36,15 @@ def mixture_pdf_points(mix: HybridMixture, xs: np.ndarray, dims=None) -> np.ndar
     ``dims`` selects a marginal over a subset of state coordinates.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    means, covs = mix.means, mix.covs
+    if dims is not None:
+        dims = list(dims)
+        means, covs = means[:, dims], covs[:, dims][:, :, dims]
+    if xs.shape[1] != means.shape[1]:
+        raise DimensionMismatchError("point dimension does not match marginal")
     out = np.zeros(xs.shape[0])
-    for m in mix.mixands:
-        mean, cov = m.gaussian.mean, m.gaussian.cov
-        if dims is not None:
-            mean = mean[list(dims)]
-            cov = cov[np.ix_(list(dims), list(dims))]
-        if xs.shape[1] != mean.shape[0]:
-            raise DimensionMismatchError("point dimension does not match marginal")
-        out += m.weight * np.exp(gaussian_logpdf(mean, cov, xs))
+    for w, mean, cov in zip(mix.weights, means, covs):
+        out += w * np.exp(gaussian_logpdf(mean, cov, xs))
     return out
 
 
@@ -81,11 +81,10 @@ def _draw_mixture(rng, mix: HybridMixture, labels: np.ndarray,
     in mixand order.  ``dims`` selects a marginal over the coordinates.
     """
     out = np.empty((labels.shape[0], len(range(mix.dim)[dims])))
-    for c, m in enumerate(mix.mixands):
+    for c, (mean, cov) in enumerate(zip(mix.means, mix.covs)):
         rows = np.nonzero(labels == c)[0]
         if rows.size:
-            out[rows] = rng.multivariate_normal(m.gaussian.mean[dims],
-                                                m.gaussian.cov[dims, dims], size=rows.size)
+            out[rows] = rng.multivariate_normal(mean[dims], cov[dims, dims], size=rows.size)
     return out
 
 
@@ -96,10 +95,9 @@ def sample_particles(mix: HybridMixture, count: int, seed: int = 0) -> ParticleS
     the states follow a different random stream than one draw per particle.
     """
     rng = np.random.default_rng(seed)
-    weights = np.array([m.weight for m in mix.mixands])
-    choice = rng.choice(len(weights), size=count, p=weights / weights.sum())
+    choice = rng.choice(len(mix), size=count, p=mix.weights / mix.weights.sum())
     states = _draw_mixture(rng, mix, choice)
-    return ParticleSet(states, tuple(mix.mixands[c].discrete for c in choice), seed)
+    return ParticleSet(states, tuple(mix.labels[c] for c in choice), seed)
 
 
 def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
@@ -122,9 +120,8 @@ def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
             mask = model.transition_mask(alpha, states[idx])
             crossed = idx[mask]
             if crossed.size:
-                options = model.successor_options(alpha)
-                labels = [o[0] for o in options]
-                probs = np.array([o[1] for o in options])
+                labels, probs = zip(*model.successor_options(alpha))
+                probs = np.array(probs)
                 pick = rng.choice(len(labels), size=crossed.size, p=probs / probs.sum())
                 for j, c in zip(crossed, pick):
                     new_alphas[j] = labels[c]
@@ -251,8 +248,7 @@ def eote(frames, network: RoadNetwork, route, samples: int = 10000, seed: int = 
     line = Polyline(np.vstack(points))
     total = 0.0
     for mix in frames:
-        weights = np.array([m.weight for m in mix.mixands])
-        counts = rng.multinomial(samples, weights / weights.sum())
+        counts = rng.multinomial(samples, mix.weights / mix.weights.sum())
         xy = _draw_mixture(rng, mix, np.repeat(np.arange(len(counts)), counts), slice(2))
         _, d = line.project(xy)
         total += float(np.mean(d))
@@ -306,8 +302,7 @@ def collision_probability(frames, ego_poses, ego_footprint=(4.5, 2.0),
     rng = np.random.default_rng(seed)
     probs = np.empty(len(frames))
     for i, mix in enumerate(frames):
-        weights = np.array([m.weight for m in mix.mixands])
-        counts = rng.multinomial(samples, weights / weights.sum())
+        counts = rng.multinomial(samples, mix.weights / mix.weights.sum())
         states = _draw_mixture(rng, mix, np.repeat(np.arange(len(counts)), counts))
         heading = states[:, 3] if states.shape[1] >= 4 else np.zeros(states.shape[0])
         obs_corners = _rect_corners(states[:, 0], states[:, 1], heading, *obstacle_footprint)

@@ -221,14 +221,12 @@ class Polyline:
     """Arclength-parameterized polyline with vectorized projection."""
 
     def __init__(self, points: np.ndarray):
-        self.points = np.asarray(points, dtype=float)
+        points = np.asarray(points, dtype=float)
+        # Drop the start point of every zero-length piece.
+        keep = np.linalg.norm(np.diff(points, axis=0), axis=1) > 1e-12
+        self.points = np.vstack([points[:-1][keep], points[-1:]])
         d = np.diff(self.points, axis=0)
         self.seg_len = np.linalg.norm(d, axis=1)
-        keep = self.seg_len > 1e-12
-        if not keep.all():
-            self.points = np.vstack([self.points[:-1][keep], self.points[-1:]])
-            d = np.diff(self.points, axis=0)
-            self.seg_len = np.linalg.norm(d, axis=1)
         self.dirs = d / self.seg_len[:, None]
         self.cum = np.concatenate([[0.0], np.cumsum(self.seg_len)])
         self.length = float(self.cum[-1])
@@ -292,11 +290,8 @@ class BicycleModel(DynamicsModel):
         self.network = network
         self.config = config
         self._noise = ProcessNoise(np.asarray(config.noise_cov, dtype=float))
-        self._routes = {}
-        self._seg_lines = {}
-        for seg_id in network.segments:
-            self._seg_lines[seg_id] = Polyline(network.segments[seg_id].centerline)
-            self._routes[seg_id] = Polyline(self._route_points(seg_id))
+        self._seg_lines = {s: Polyline(seg.centerline) for s, seg in network.segments.items()}
+        self._routes = {s: Polyline(self._route_points(s)) for s in network.segments}
 
     def _route_points(self, seg_id: str) -> np.ndarray:
         """Segment centerline chained through first successors, plus a straight tail."""

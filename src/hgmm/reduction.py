@@ -101,14 +101,11 @@ def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
     """Merge mixands until the total count is at most the configured cap."""
     if len(mix) <= cfg.max_mixands:
         return mix
-    slots = list(mix.mixands)
-    m = len(slots)
-    w = np.array([s.weight for s in slots])
-    mean = np.stack([s.gaussian.mean for s in slots])
-    cov = np.stack([s.gaussian.cov for s in slots])
+    m = len(mix)
+    w, mean, cov = mix.weights.copy(), mix.means.copy(), mix.covs.copy()
     logdet = np.linalg.slogdet(cov)[1]
     codes: dict = {}
-    label = np.array([codes.setdefault(s.discrete, len(codes)) for s in slots])
+    label = np.array([codes.setdefault(alpha, len(codes)) for alpha in mix.labels])
     alive = np.ones(m, dtype=bool)
 
     # costs[i, j] (i < j, same label) is the cost of merging slots i and j;
@@ -131,23 +128,22 @@ def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
         j = int(best[i])
         if row_min[i] == np.inf:
             # Only distinct discrete hypotheses remain; drop the lightest.
-            drop = min(np.flatnonzero(alive), key=lambda k: (slots[k].weight, k))
+            drop = min(np.flatnonzero(alive), key=lambda k: (w[k], k))
             log.warning(
                 "mixand cap %d below distinct discrete hypothesis count; "
                 "dropping hypothesis %r with weight %.3e",
                 cfg.max_mixands,
-                slots[drop].discrete,
-                slots[drop].weight,
+                mix.labels[drop],
+                w[drop],
             )
             alive[drop] = False
             continue
-        merged = merge_pair(slots[i], slots[j])
-        slots[i] = merged
+        wm, mm, cm = _merged_moments(w[[i]], mean[[i]], cov[[i]], w[[j]], mean[[j]], cov[[j]])
+        w[i], mean[i], cov[i] = wm[0], mm[0], cm[0]
         alive[j] = False
         costs[j, :] = np.inf
         costs[:, j] = np.inf
-        w[i], mean[i], cov[i] = merged.weight, merged.gaussian.mean, merged.gaussian.cov
-        logdet[i] = np.linalg.slogdet(merged.gaussian.cov)[1]
+        logdet[i] = np.linalg.slogdet(cov[i])[1]
         partners = np.flatnonzero(alive & (label == label[i]))
         lo, hi = partners[partners < i], partners[partners > i]
         ia = np.concatenate([lo, np.full(len(hi), i)])
@@ -167,4 +163,5 @@ def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
             rows = stale[r0 : r0 + block]
             best[rows] = costs[rows].argmin(axis=1)
             row_min[rows] = costs[rows, best[rows]]
-    return normalize([s for s, keep in zip(slots, alive) if keep], mix.time_index)
+    labels = tuple(alpha for alpha, keep in zip(mix.labels, alive) if keep)
+    return normalize((w[alive], mean[alive], cov[alive], labels), mix.time_index)

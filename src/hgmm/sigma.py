@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .core import Gaussian, ProcessNoise, matrix_sqrt, symmetrize
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ModelEvaluationFailure, NonFiniteValueError
 
 
 def default_lambda(n_x: int, n_v: int = 0) -> float:
@@ -89,18 +89,14 @@ def generate_sigma_points(
     if lam <= -n:
         raise ValueError(f"lambda must exceed -(n_x + n_v) = {-n}")
     gamma = np.sqrt(n + lam)
-    s_x = matrix_sqrt(g.cov)
-    count = 1 + 2 * n
-    chi = np.tile(g.mean, (count, 1))
-    ups = np.zeros((count, n_v))
-    for j in range(n_x):
-        chi[1 + j] = g.mean + gamma * s_x[:, j]
-        chi[1 + n_x + j] = g.mean - gamma * s_x[:, j]
+    # Row 1 + j is the mean plus gamma times column j of the square root.
+    spread = gamma * matrix_sqrt(g.cov).T
+    chi = np.tile(g.mean, (1 + 2 * n, 1))
+    chi[1 : 1 + 2 * n_x] = np.vstack([g.mean + spread, g.mean - spread])
+    ups = np.zeros((1 + 2 * n, n_v))
     if n_v > 0:
-        s_v = matrix_sqrt(noise.cov)
-        for j in range(n_v):
-            ups[1 + 2 * n_x + j] = gamma * s_v[:, j]
-            ups[1 + 2 * n_x + n_v + j] = -gamma * s_v[:, j]
+        spread_v = gamma * noise.sqrt.T
+        ups[1 + 2 * n_x :] = np.vstack([spread_v, -spread_v])
     chi.setflags(write=False)
     ups.setflags(write=False)
     return SigmaSet(chi, ups, float(lam), float(gamma))
@@ -111,27 +107,36 @@ def propagate_points(s: SigmaSet, alpha_next: object, f_c_batch: Callable) -> np
 
     ``f_c_batch(alpha_next, xs, vs)`` gets all (count, n_x) state points and
     (count, n_v) noise points in one call and must return the (count, n_x)
-    propagated states; any other shape raises ``DimensionMismatchError``.
+    propagated states; any other shape raises ``DimensionMismatchError``, and
+    a NaN or infinite entry raises ``ModelEvaluationFailure``.
     """
     out = np.asarray(f_c_batch(alpha_next, s.state_points, s.noise_points), dtype=float)
     if out.shape != (s.count, s.n_x):
         raise DimensionMismatchError(
             f"propagated points have shape {out.shape}, expected {(s.count, s.n_x)}"
         )
+    if not np.isfinite(out).all():
+        raise ModelEvaluationFailure("dynamics returned a non-finite state")
     return out
 
 
 def recombine(points: np.ndarray, w: RecombinationWeights) -> Gaussian:
-    """Weighted moment recombination of propagated points into a Gaussian."""
+    """Weighted moment recombination of propagated points into a Gaussian.
+
+    The covariance is symmetrized and its negative eigenvalues clipped, so
+    the result skips ``Gaussian``'s check; a frame built from it gets one.
+    """
     points = np.asarray(points, dtype=float)
     if points.shape[0] != w.mean_weights.shape[0]:
         raise DimensionMismatchError("point count does not match weight count")
     mean = w.mean_weights @ points
     d = points - mean
     cov = symmetrize((d * w.cov_weights[:, None]).T @ d)
+    if not np.isfinite(cov).all():
+        raise NonFiniteValueError("recombined covariance has a non-finite entry")
     # Clip tiny negative eigenvalues so the result is a valid covariance.
     evals = np.linalg.eigvalsh(cov)
     if evals.min() < 0.0:
         wv, v = eigh(cov)
         cov = symmetrize((v * np.clip(wv, 0.0, None)) @ v.T)
-    return Gaussian(mean, cov)
+    return Gaussian._unchecked(mean, cov)

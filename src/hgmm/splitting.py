@@ -267,17 +267,13 @@ class SplitLibrary:
 
     @staticmethod
     def from_dict(doc: dict) -> "SplitLibrary":
-        entries = {}
-        for e in doc["entries"]:
-            split = CanonicalSplit(
-                int(e["n"]),
-                float(e["sigma"]),
-                float(e["delta_mu"]),
-                np.asarray(e["weights"], dtype=float),
-                float(e["isd"]),
-            )
-            entries[(split.n, split.sigma)] = split
-        return SplitLibrary(entries, float(doc.get("grid_step", DEFAULT_GRID_STEP)))
+        splits = [
+            CanonicalSplit(int(e["n"]), float(e["sigma"]), float(e["delta_mu"]),
+                           np.asarray(e["weights"], dtype=float), float(e["isd"]))
+            for e in doc["entries"]
+        ]
+        return SplitLibrary({(s.n, s.sigma): s for s in splits},
+                            float(doc.get("grid_step", DEFAULT_GRID_STEP)))
 
     @staticmethod
     def load(path) -> "SplitLibrary":
@@ -299,12 +295,9 @@ def build_library(
     grid_step: float = DEFAULT_GRID_STEP,
     grid_max: float = DEFAULT_GRID_MAX,
 ) -> SplitLibrary:
-    entries = {}
-    for n in n_values:
-        for sigma in sigma_values:
-            split = optimize_canonical_split(n, sigma, grid_step, grid_max)
-            entries[(split.n, split.sigma)] = split
-    return SplitLibrary(entries, grid_step)
+    splits = [optimize_canonical_split(n, sigma, grid_step, grid_max)
+              for n in n_values for sigma in sigma_values]
+    return SplitLibrary({(s.n, s.sigma): s for s in splits}, grid_step)
 
 
 def _householder_to_e1(u: np.ndarray) -> np.ndarray:
@@ -319,8 +312,11 @@ def _householder_to_e1(u: np.ndarray) -> np.ndarray:
     return np.eye(d) - 2.0 * np.outer(v, v) / nv2
 
 
-def apply_split(m: HybridMixand, axis: np.ndarray, split: CanonicalSplit) -> list:
+def apply_split(m, axis: np.ndarray, split: CanonicalSplit) -> list:
     """Replace one mixand by the cached split applied along ``axis``.
+
+    ``m`` is a ``HybridMixand``, or the ``(weight, Gaussian)`` pair the
+    engine passes; the children come back in the same form.
 
     The parent covariance factor T and an orthogonal alignment R map the
     canonical frame onto the parent.  The whitened-frame direction is
@@ -332,9 +328,12 @@ def apply_split(m: HybridMixand, axis: np.ndarray, split: CanonicalSplit) -> lis
     since cov_child = cov - (1 - sigma^2) (cov @ axis)(cov @ axis).T
     / (axis.T @ cov @ axis).  The child means fan out along cov @ axis.
     """
+    if isinstance(m, HybridMixand):
+        children = apply_split((m.weight, m.gaussian), axis, split)
+        return [HybridMixand(w, m.discrete, g) for w, g in children]
+    weight, g = m
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
-    g = m.gaussian
     d = g.dim
     t = matrix_sqrt(g.cov)
     sv = np.linalg.svd(t, compute_uv=False)
@@ -350,14 +349,11 @@ def apply_split(m: HybridMixand, axis: np.ndarray, split: CanonicalSplit) -> lis
     canon_cov = np.eye(d)
     canon_cov[0, 0] = split.sigma ** 2
     child_cov = symmetrize(trt @ canon_cov @ trt.T)
-    children = []
-    for offset, w in zip(split.offsets(), split.weights):
-        mean = trt[:, 0] * offset + g.mean
-        children.append(HybridMixand(m.weight * float(w), m.discrete, Gaussian(mean, child_cov)))
-    # Weight conservation must be exact; absorb rounding into the heaviest child.
-    total = sum(c.weight for c in children)
-    if total != m.weight:
-        i = max(range(len(children)), key=lambda j: children[j].weight)
-        c = children[i]
-        children[i] = HybridMixand(c.weight + (m.weight - total), c.discrete, c.gaussian)
-    return children
+    means = np.outer(split.offsets(), trt[:, 0]) + g.mean
+    weights = weight * split.weights
+    # Weight conservation must be exact; absorb rounding into the heaviest
+    # child.  The total is summed left to right, as Python's sum does.
+    total = sum(weights.tolist())
+    if total != weight:
+        weights[int(np.argmax(weights))] += weight - total
+    return [(w, Gaussian._unchecked(mu, child_cov)) for w, mu in zip(weights.tolist(), means)]

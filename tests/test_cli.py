@@ -204,6 +204,29 @@ class TestRun:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("name", ["turn", "intersection"])
+    def test_frames_match_golden_files(self, name, tmp_path):
+        # tests/data/<name>_frames.jsonl are a fixed reference: frames that an
+        # earlier version of `hgmm run` wrote for the scenario next to them,
+        # with the shipped split library at --horizon 1.0.  Labels and counts
+        # must match exactly; weights, means and covariances to 1e-12 relative
+        # to the largest value of that quantity in the frame.
+        data = Path(__file__).parent / "data"
+        out = tmp_path / "frames.jsonl"
+        code = run_cli("run", "--scenario", str(data / f"{name}_scenario.json"),
+                       "--cache", LIB_PATH, "--horizon", "1.0", "--out", str(out))
+        assert code == 0
+        got = [json.loads(line) for line in out.read_text().splitlines()]
+        want = [json.loads(line) for line in (data / f"{name}_frames.jsonl").read_text()
+                .splitlines()]
+        assert [(f["k"], f["t"]) for f in got] == [(f["k"], f["t"]) for f in want]
+        for frame, ref in zip(got, want):
+            assert [m["alpha"] for m in frame["mixands"]] == [m["alpha"] for m in ref["mixands"]]
+            for key in ("w", "mu", "sigma"):
+                a = np.array([m[key] for m in frame["mixands"]])
+                b = np.array([m[key] for m in ref["mixands"]])
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
     def test_missing_scenario_key(self, tmp_path):
         scen = tmp_path / "bad.json"
         scen.write_text(json.dumps({"model": "bicycle", "network": "turn"}))

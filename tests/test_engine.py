@@ -18,7 +18,7 @@ from hgmm import (
 )
 from hgmm.errors import ModelEvaluationFailure, NoSuccessorError
 from hgmm.evaluation import default_grid, mixture_pdf_points, numerical_kld
-from hgmm.models import UngmModel, ungm_truth_density
+from hgmm.models import BicycleModel, UngmModel, builtin_network, ungm_truth_density
 
 
 class LinearModel(DynamicsModel):
@@ -178,6 +178,20 @@ class TestAnticipate:
         cfg = EngineConfig(e_res_max=np.inf, dt=1.0, horizon=1.0)
         with pytest.raises(ModelEvaluationFailure, match="alpha='lane-7'.*map undefined here"):
             anticipate(single(Gaussian(np.zeros(1), np.eye(1)), alpha="lane-7"), model, cfg)
+
+    @pytest.mark.parametrize("e_res_max", [np.inf, 0.1])
+    def test_non_finite_model_output_names_the_mixand_label(self, e_res_max, lib):
+        class NanModel(BicycleModel):
+            def f_c_batch(self, alpha_next, xs, vs):
+                out = super().f_c_batch(alpha_next, xs, vs)
+                out[3, 1] = np.nan
+                return out
+
+        model = NanModel(builtin_network("turn"))
+        prior = Gaussian(np.array([20.0, 0.0, 9.0, 0.0]), np.diag([1.0, 1.0, 1.0, 0.05]))
+        cfg = EngineConfig(e_res_max=e_res_max, dt=0.1, horizon=0.5, normalization="raw")
+        with pytest.raises(ModelEvaluationFailure, match="alpha='approach'.*non-finite"):
+            anticipate(single(prior, alpha="approach"), model, cfg, lib)
 
     def test_model_without_batch_dynamics_cannot_be_built(self):
         class NoDynamics(DynamicsModel):
