@@ -159,6 +159,9 @@ class RoadSegment:
         line = np.asarray(self.centerline, dtype=float)
         if line.ndim != 2 or line.shape[1] != 2 or line.shape[0] < 2:
             raise ValueError(f"segment {self.seg_id}: centerline must be (P, 2), P >= 2")
+        finite = np.isfinite(line).all()
+        if not (finite and np.linalg.norm(np.diff(line, axis=0), axis=1).max() > 1e-12):
+            raise ValueError(f"segment {self.seg_id}: centerline must be finite, non-zero length")
         line.setflags(write=False)
         object.__setattr__(self, "centerline", line)
         object.__setattr__(self, "successors", tuple(self.successors))
@@ -218,7 +221,7 @@ class RoadNetwork:
 
 
 class Polyline:
-    """Arclength-parameterized polyline with vectorized projection."""
+    """Arclength-parameterized polyline; exact projection, ties to the lowest segment index."""
 
     def __init__(self, points: np.ndarray):
         points = np.asarray(points, dtype=float)
@@ -240,15 +243,28 @@ class Polyline:
     def project(self, xy: np.ndarray):
         """Closest-point projection: returns (arclength s, distance) per row."""
         xy = np.atleast_2d(np.asarray(xy, dtype=float))
-        rel = xy[:, None, :] - self.points[None, :-1, :]      # (P, S, 2)
-        t = np.einsum("psk,sk->ps", rel, self.dirs)
-        t = np.clip(t, 0.0, self.seg_len[None, :])
-        foot = self.points[None, :-1, :] + t[:, :, None] * self.dirs[None, :, :]
-        dist = np.linalg.norm(xy[:, None, :] - foot, axis=2)
-        best = np.argmin(dist, axis=1)
+        # In-place (P, S) arrays per coordinate, rounded as the dense reference in the tests.
+        x, y = xy[:, :1], xy[:, 1:2]
+        px, py = self.points[:-1, 0], self.points[:-1, 1]
+        dx, dy = self.dirs[:, 0], self.dirs[:, 1]
+        t = x - px
+        t *= dx
+        ty = y - py
+        ty *= dy
+        t += ty
+        np.clip(t, 0.0, self.seg_len, out=t)
+        ex = t * dx
+        ex += px
+        ex -= x
+        ey = np.multiply(t, dy, out=ty)
+        ey += py
+        ey -= y
+        ex *= ex
+        ex += np.square(ey, out=ey)
+        dist = np.sqrt(ex, out=ex)
+        best = dist.argmin(axis=1)      # on rounded distances: ties go to the lowest index
         rows = np.arange(xy.shape[0])
-        s = self.cum[best] + t[rows, best]
-        return s, dist[rows, best]
+        return self.cum[best] + t[rows, best], dist[rows, best]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +323,9 @@ class BicycleModel(DynamicsModel):
             pts.append(nxt[1:])
             total += self._polyline_len(nxt)
         line = np.vstack(pts)
-        tail_dir = line[-1] - line[-2]
+        # The tail continues the last piece of non-zero length.
+        steps = np.diff(line, axis=0)
+        tail_dir = steps[np.linalg.norm(steps, axis=1) > 1e-12][-1]
         tail_dir = tail_dir / np.linalg.norm(tail_dir)
         line = np.vstack([line, line[-1] + tail_dir * _ROUTE_TAIL])
         return line

@@ -227,6 +227,20 @@ class TestRun:
                 b = np.array([m[key] for m in ref["mixands"]])
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
 
+    @pytest.mark.parametrize("centerline, code", [
+        pytest.param([[0.0, 0.0], [0.0, 0.0]], 2, id="zero-length"),
+        pytest.param([[0.0, 0.0], [float("nan"), 0.0]], 2, id="nan-coordinate"),
+        pytest.param([[0.0, 0.0], [60.0, 0.0], [60.0, 0.0]], 0, id="repeated-final-vertex"),
+    ])
+    def test_network_file_centerlines(self, tmp_path, centerline, code):
+        net = tmp_path / "network.json"
+        net.write_text(json.dumps({"segments": [{"id": "approach", "centerline": centerline,
+                                                 "half_width": 2.0, "successors": []}]}))
+        scen = Path(__file__).parent / "data" / "turn_scenario.json"
+        out = tmp_path / "frames.jsonl"
+        assert run_cli("run", "--scenario", str(scen), "--network", str(net),
+                       "--horizon", "0.3", "--out", str(out)) == code
+
     def test_missing_scenario_key(self, tmp_path):
         scen = tmp_path / "bad.json"
         scen.write_text(json.dumps({"model": "bicycle", "network": "turn"}))

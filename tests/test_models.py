@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgmm import Gaussian
 from hgmm.models import (
@@ -117,6 +119,71 @@ class TestPolyline:
         assert line.length == pytest.approx(8.0)
         assert line.point_at(6.0)[0] == pytest.approx([4.0, 2.0])
         assert line.point_at(99.0)[0] == pytest.approx([4.0, 4.0])
+
+
+def _project_dense(self, xy):
+    """Dense (P, S, 2) projection: `Polyline.project` must match it bit for bit."""
+    xy = np.atleast_2d(np.asarray(xy, dtype=float))
+    rel = xy[:, None, :] - self.points[None, :-1, :]      # (P, S, 2)
+    t = np.einsum("psk,sk->ps", rel, self.dirs)
+    t = np.clip(t, 0.0, self.seg_len[None, :])
+    foot = self.points[None, :-1, :] + t[:, :, None] * self.dirs[None, :, :]
+    dist = np.linalg.norm(xy[:, None, :] - foot, axis=2)
+    best = np.argmin(dist, axis=1)
+    rows = np.arange(xy.shape[0])
+    s = self.cum[best] + t[rows, best]
+    return s, dist[rows, best]
+
+
+def _builtin_polylines():
+    """Every segment and route polyline of the builtin networks, by name."""
+    lines = {}
+    for name in ("straight", "turn", "intersection"):
+        model = BicycleModel(builtin_network(name))
+        lines.update({f"{name}-segment-{k}": v for k, v in model._seg_lines.items()})
+        lines.update({f"{name}-route-{k}": v for k, v in model._routes.items()})
+    return lines
+
+
+BUILTIN_POLYLINES = _builtin_polylines()
+
+
+def assert_projects_like_dense(line, xy):
+    s, d = line.project(xy)
+    s_ref, d_ref = _project_dense(line, xy)
+    assert np.array_equal(s, s_ref) and np.array_equal(d, d_ref)
+
+
+class TestProjectAgainstDense:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(BUILTIN_POLYLINES)),
+        fractions=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=40),
+    )
+    def test_random_points_near_polyline(self, name, fractions):
+        # Points anywhere within 20 m of the polyline's bounding box.
+        line = BUILTIN_POLYLINES[name]
+        lo, hi = line.points.min(axis=0) - 20.0, line.points.max(axis=0) + 20.0
+        xy = lo + np.array(fractions).reshape(-1, 2) * (hi - lo)
+        assert_projects_like_dense(line, xy)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_POLYLINES))
+    def test_vertices_arc_centre_and_small_batches(self, name):
+        # (40, 6) is the turn arc's centre, nearly equidistant from its 32 chords.
+        line = BUILTIN_POLYLINES[name]
+        assert_projects_like_dense(line, np.vstack([line.points, [[40.0, 6.0]]]))
+        assert_projects_like_dense(line, np.array([40.0, 6.0]))
+        s, d = line.project(np.zeros((0, 2)))
+        assert s.shape == d.shape == (0,)
+        assert_projects_like_dense(line, np.zeros((0, 2)))
+
+    def test_exact_tie_goes_to_lowest_segment(self):
+        # Points on the V's axis are equally far from both pieces.  For some,
+        # the rounded squared distances differ but their square roots tie.
+        line = Polyline(np.array([[-1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]))
+        assert line.project(np.array([[0.0, 1.0]]))[0][0] == 1.0 / math.sqrt(2.0)
+        xy = np.column_stack([np.zeros(2001), np.linspace(0.5, 3.0, 2001)])
+        assert_projects_like_dense(line, xy)
 
 
 class TestBicycle:
