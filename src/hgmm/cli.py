@@ -156,20 +156,26 @@ def cmd_benchmark(args, parser) -> int:
 # run
 # ---------------------------------------------------------------------------
 
-def _network(spec: str) -> RoadNetwork:
-    """A builtin network by name, or one read from a JSON path."""
-    return builtin_network(spec) if spec in BUILTIN_NETWORKS else RoadNetwork.load(spec)
+def _network(spec: str, parser) -> RoadNetwork:
+    """A builtin network by name, or one read from a JSON path (a bad file is a usage error)."""
+    if spec in BUILTIN_NETWORKS:
+        return builtin_network(spec)
+    try:
+        return RoadNetwork.load(spec)
+    except (KeyError, OSError, ValueError) as exc:
+        parser.error(f"network file {spec}: {exc}")
 
 
-def _load_network(args, scenario):
+def _load_network(args, scenario, parser):
     if args.network:
-        return _network(args.network), args.network
+        return _network(args.network, parser), args.network
     name = scenario.get("network")
     if name is None:
         return None, None
     # A file name in the scenario is relative to the scenario's directory.
     scenario_dir = os.path.dirname(os.path.abspath(args.scenario))
-    return _network(name if name in BUILTIN_NETWORKS else os.path.join(scenario_dir, name)), name
+    path = name if name in BUILTIN_NETWORKS else os.path.join(scenario_dir, name)
+    return _network(path, parser), name
 
 
 def _build_model(scenario, network):
@@ -228,7 +234,7 @@ def cmd_run(args, parser) -> int:
     with open(args.scenario, "r", encoding="utf-8") as fh:
         scenario = json.load(fh)
     try:
-        network, network_name = _load_network(args, scenario)
+        network, network_name = _load_network(args, scenario, parser)
         model, model_name = _build_model(scenario, network)
         cfg = _engine_config(scenario, args)
         initial = _read_mixture(scenario["initial"]["mixands"],
@@ -356,7 +362,7 @@ def cmd_evaluate(args, parser) -> int:
     elif args.metric == "eote":
         if not args.network or not args.route:
             parser.error("--network and --route are required for the eote metric")
-        network = _network(args.network)
+        network = _network(args.network, parser)
         route = [tok for tok in args.route.split(",") if tok]
         values = np.array(
             [eote([mix], network, route, args.samples, args.seed) for mix in frames]

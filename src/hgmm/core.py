@@ -40,7 +40,7 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 def _as_matrix(cov) -> np.ndarray:
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    if cov.shape[0] != cov.shape[1]:
+    if cov.shape[-2] != cov.shape[-1]:
         raise DimensionMismatchError(f"covariance must be square, got {cov.shape}")
     return cov
 
@@ -262,16 +262,22 @@ def matrix_sqrt(cov: np.ndarray) -> np.ndarray:
 
     Cholesky when the matrix is positive definite; otherwise an
     eigen-decomposition with small negative eigenvalues clamped to zero.
+    A stack (M, n, n) gets one symmetry check and one Cholesky for all
+    matrices; if that fails, each matrix is taken on its own, so only the
+    ones that are not positive definite use the eigen path.
     """
     cov = _as_matrix(cov)
-    if cov.shape[0] == 0:
+    if cov.shape[-1] == 0:
         return cov.copy()
     _check_symmetric(cov)
     sym = symmetrize(cov)
+    # One matrix keeps SciPy's factor: its Fortran order sets how products
+    # with it round (``apply_split``'s ``t.T @ axis``).
     try:
-        return cholesky(sym, lower=True)
+        return np.linalg.cholesky(sym) if sym.ndim > 2 else cholesky(sym, lower=True)
     except np.linalg.LinAlgError:
-        pass
+        if sym.ndim > 2:
+            return np.stack([matrix_sqrt(m) for m in sym])
     w, v = eigh(sym)
     tr = max(np.trace(sym), 0.0)
     if w.min() < -_EIG_RTOL * max(tr, 1e-300):

@@ -2,17 +2,20 @@
 
 One anticipation step runs the discrete transition (hypothesis fan-out),
 then the continuous sigma-point propagation with linearity-gated
-recursive splitting, then mixture reduction.  Frames are immutable
-array-backed mixtures, one per time step; within a step each mixand is
-passed as its weight, label and a ``Gaussian`` on rows of those arrays.
+splitting, then mixture reduction.  Frames are immutable array-backed
+mixtures, one per time step.  Propagation works through a level-synchronous
+worklist: all mixands at one split depth are propagated together as
+stacked arrays, and the output is ordered by each mixand's path (input
+index, then child indices).
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,7 +61,12 @@ class DynamicsModel(ABC):
 
     @abstractmethod
     def f_c_batch(self, alpha_next, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Map (P, n_x) states and (P, n_v) noise draws to (P, n_x) next states."""
+        """Map (P, n_x) states and (P, n_v) noise draws to (P, n_x) next states.
+
+        Rows must be independent: the sigma points of all mixands with the
+        same label share one call, and each row's result may not depend on
+        which other rows are in the batch.
+        """
 
     def discrete_successors(self, alpha, gaussian: Gaussian) -> list:
         """(alpha_next, probability) pairs for a mixand, gated on its mean."""
@@ -124,46 +132,59 @@ def step_continuous(
 ) -> HybridMixture:
     """Propagate every mixand one time step, splitting where the affine fit fails.
 
-    Split children are propagated depth first, in order, from a stack, so
-    the output keeps the order of the input mixands and of their children.
+    A worklist takes one split depth at a time: the mixands pending at that
+    depth are propagated as stacked arrays, with one dynamics call per
+    discrete label, and the children of those that split make up the next
+    depth.  Each mixand carries its path, its input index followed by its
+    child indices; the output is sorted by path, which keeps the order of
+    the input mixands and of their children.
     """
     assess = lib is not None and math.isfinite(cfg.e_res_max)
-    pending = [(w, alpha, Gaussian._unchecked(mean, cov), 0) for w, alpha, mean, cov
-               in zip(mix.weights.tolist(), mix.labels, mix.means, mix.covs)][::-1]
+    paths = [(i,) for i in range(len(mix))]
+    weights, labels, means, covs = mix.weights.tolist(), mix.labels, mix.means, mix.covs
     out, depth_capped = [], 0
-    while pending:
-        weight, alpha, g, depth = pending.pop()
-        sigma_set = generate_sigma_points(g, model.process_noise, cfg.lam)
-        try:
-            propagated = propagate_points(sigma_set, alpha, model.f_c_batch)
-        except ModelEvaluationFailure as exc:
-            raise ModelEvaluationFailure(
-                f"dynamics evaluation failed for mixand alpha={alpha!r}: {exc}"
-            ) from exc
+    for depth in itertools.count():
+        sigma_set = generate_sigma_points((means, covs), model.process_noise, cfg.lam)
+        propagated = np.empty(sigma_set.state_points.shape)
+        for alpha in dict.fromkeys(labels):
+            rows = [i for i, label in enumerate(labels) if label == alpha]
+            subset = replace(sigma_set, state_points=sigma_set.state_points[rows],
+                             noise_points=sigma_set.noise_points[rows])
+            try:
+                propagated[rows] = propagate_points(subset, alpha, model.f_c_batch)
+            except ModelEvaluationFailure as exc:
+                raise ModelEvaluationFailure(
+                    f"dynamics evaluation failed for mixand alpha={alpha!r}: {exc}"
+                ) from exc
+        split = np.zeros(len(labels), dtype=bool)
         if assess:
-            report = assess_linearity(
-                sigma_set.state_block(),
-                propagated[: 1 + 2 * model.n_x],
-                prior_cov=g.cov,
-                normalization=cfg.normalization,
-                e_res_max=cfg.e_res_max,
-            )
-            if not report.passed and depth < cfg.max_split_depth:
-                split = lib.get(cfg.split_n, cfg.split_sigma)
-                children = apply_split((weight, g), report.split_axis, split)
-                pending.extend((w, alpha, c, depth + 1) for w, c in children[::-1])
-                continue
-            depth_capped += not report.passed
-        g = recombine(propagated, sigma_set.weights())
-        out.append((weight, alpha, g.mean, g.cov))
+            report = assess_linearity(sigma_set.state_block(), propagated[:, : 1 + 2 * model.n_x],
+                                      prior_cov=covs, normalization=cfg.normalization,
+                                      e_res_max=cfg.e_res_max)
+            if depth < cfg.max_split_depth:
+                split = ~report.passed
+            else:
+                depth_capped = int(np.count_nonzero(~report.passed))
+        kept = np.flatnonzero(~split).tolist()
+        if kept:
+            kept_means, kept_covs = recombine(propagated[kept], sigma_set.weights())
+            out.extend((paths[i], weights[i], labels[i], mean, cov)
+                       for i, mean, cov in zip(kept, kept_means, kept_covs))
+        if not split.any():
+            break
+        canonical = lib.get(cfg.split_n, cfg.split_sigma)
+        children = []
+        for i in np.flatnonzero(split).tolist():
+            parent = (weights[i], Gaussian._unchecked(means[i], covs[i]))
+            for k, (w, g) in enumerate(apply_split(parent, report.split_axis[i], canonical)):
+                children.append((paths[i] + (k,), w, labels[i], g.mean, g.cov))
+        paths, weights, labels, means, covs = zip(*children)
+        means, covs = np.stack(means), np.stack(covs)
     if depth_capped:
-        log.warning(
-            "split depth cap %d reached for %d mixand(s) at step %d; recombined anyway",
-            cfg.max_split_depth,
-            depth_capped,
-            mix.time_index + 1,
-        )
-    weights, labels, means, covs = zip(*out)
+        log.warning("split depth cap %d reached for %d mixand(s) at step %d; recombined anyway",
+                    cfg.max_split_depth, depth_capped, mix.time_index + 1)
+    out.sort(key=lambda row: row[0])
+    _, weights, labels, means, covs = zip(*out)
     return normalize((weights, means, covs, labels), mix.time_index + 1)
 
 

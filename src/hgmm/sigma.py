@@ -3,6 +3,9 @@
 The point set jointly covers state and process-noise uncertainty: one
 center point, a +/- pair per state axis, and a +/- pair per noise axis.
 Noise-free models (n_v = 0) simply get no noise block.
+
+Every function also takes a stack of mixands along a leading axis: one
+set of points per mixand, built, propagated and recombined together.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ class SigmaSet:
 
     ``state_points`` has shape (1 + 2*n_x + 2*n_v, n_x) and
     ``noise_points`` shape (1 + 2*n_x + 2*n_v, n_v).  Index 0 is the
-    mean; noise entries are zero for all state-block indices.
+    mean; noise entries are zero for all state-block indices.  A set for
+    a stack of M mixands has a leading axis of length M on both arrays.
     """
 
     state_points: np.ndarray
@@ -60,29 +64,35 @@ class SigmaSet:
 
     @property
     def n_x(self) -> int:
-        return self.state_points.shape[1]
+        return self.state_points.shape[-1]
 
     @property
     def n_v(self) -> int:
-        return self.noise_points.shape[1]
+        return self.noise_points.shape[-1]
 
     @property
     def count(self) -> int:
-        return self.state_points.shape[0]
+        return self.state_points.shape[-2]
 
     def weights(self) -> RecombinationWeights:
         return RecombinationWeights.for_dims(self.n_x, self.n_v, self.lam)
 
     def state_block(self) -> np.ndarray:
         """The 1 + 2*n_x points that carry state (not noise) spread."""
-        return self.state_points[: 1 + 2 * self.n_x]
+        return self.state_points[..., : 1 + 2 * self.n_x, :]
 
 
 def generate_sigma_points(
-    g: Gaussian, noise: ProcessNoise, lam: Optional[float] = None
+    g, noise: ProcessNoise, lam: Optional[float] = None
 ) -> SigmaSet:
-    """Build the augmented sigma-point set for a Gaussian and process noise."""
-    n_x, n_v = g.dim, noise.dim
+    """Build the augmented sigma-point set for a Gaussian and process noise.
+
+    ``g`` is a ``Gaussian``, or a ``(means, covs)`` pair of stacked (M, n_x)
+    and (M, n_x, n_x) arrays, which gets one set per mixand from a single
+    batched square root.
+    """
+    mean, cov = (g.mean, g.cov) if isinstance(g, Gaussian) else g
+    n_x, n_v = mean.shape[-1], noise.dim
     if lam is None:
         lam = default_lambda(n_x, n_v)
     n = n_x + n_v
@@ -90,53 +100,62 @@ def generate_sigma_points(
         raise ValueError(f"lambda must exceed -(n_x + n_v) = {-n}")
     gamma = np.sqrt(n + lam)
     # Row 1 + j is the mean plus gamma times column j of the square root.
-    spread = gamma * matrix_sqrt(g.cov).T
-    chi = np.tile(g.mean, (1 + 2 * n, 1))
-    chi[1 : 1 + 2 * n_x] = np.vstack([g.mean + spread, g.mean - spread])
+    spread = gamma * matrix_sqrt(cov).swapaxes(-1, -2)
+    mean = mean[..., None, :]
+    chi = np.repeat(mean, 1 + 2 * n, axis=-2)
+    chi[..., 1 : 1 + 2 * n_x, :] = np.concatenate([mean + spread, mean - spread], axis=-2)
     ups = np.zeros((1 + 2 * n, n_v))
     if n_v > 0:
         spread_v = gamma * noise.sqrt.T
         ups[1 + 2 * n_x :] = np.vstack([spread_v, -spread_v])
     chi.setflags(write=False)
     ups.setflags(write=False)
-    return SigmaSet(chi, ups, float(lam), float(gamma))
+    return SigmaSet(chi, np.broadcast_to(ups, chi.shape[:-1] + (n_v,)), float(lam), float(gamma))
 
 
 def propagate_points(s: SigmaSet, alpha_next: object, f_c_batch: Callable) -> np.ndarray:
     """Push every (state, noise) point pair through the continuous dynamics.
 
-    ``f_c_batch(alpha_next, xs, vs)`` gets all (count, n_x) state points and
-    (count, n_v) noise points in one call and must return the (count, n_x)
-    propagated states; any other shape raises ``DimensionMismatchError``, and
-    a NaN or infinite entry raises ``ModelEvaluationFailure``.
+    ``f_c_batch(alpha_next, xs, vs)`` gets all (P, n_x) state points and
+    (P, n_v) noise points in one call, P = count, or M * count for a stack
+    of M sets, and must return the (P, n_x) propagated states; any other
+    shape raises ``DimensionMismatchError``, and a NaN or infinite entry
+    raises ``ModelEvaluationFailure``.  The result has the shape of
+    ``s.state_points``.
     """
-    out = np.asarray(f_c_batch(alpha_next, s.state_points, s.noise_points), dtype=float)
-    if out.shape != (s.count, s.n_x):
+    xs = s.state_points.reshape(-1, s.n_x)
+    vs = s.noise_points.reshape(len(xs), s.n_v)
+    out = np.asarray(f_c_batch(alpha_next, xs, vs), dtype=float)
+    if out.shape != xs.shape:
         raise DimensionMismatchError(
-            f"propagated points have shape {out.shape}, expected {(s.count, s.n_x)}"
+            f"propagated points have shape {out.shape}, expected {xs.shape}"
         )
     if not np.isfinite(out).all():
         raise ModelEvaluationFailure("dynamics returned a non-finite state")
-    return out
+    return out.reshape(s.state_points.shape)
 
 
-def recombine(points: np.ndarray, w: RecombinationWeights) -> Gaussian:
+def recombine(points: np.ndarray, w: RecombinationWeights):
     """Weighted moment recombination of propagated points into a Gaussian.
 
-    The covariance is symmetrized and its negative eigenvalues clipped, so
-    the result skips ``Gaussian``'s check; a frame built from it gets one.
+    A stack of M point sets (M, count, n) gives a ``(means, covs)`` pair of
+    (M, n) and (M, n, n) arrays instead.  Each covariance is symmetrized
+    and its negative eigenvalues clipped, so the result skips
+    ``Gaussian``'s check; a frame built from it gets one.
     """
     points = np.asarray(points, dtype=float)
-    if points.shape[0] != w.mean_weights.shape[0]:
+    if points.shape[-2] != w.mean_weights.shape[0]:
         raise DimensionMismatchError("point count does not match weight count")
     mean = w.mean_weights @ points
-    d = points - mean
-    cov = symmetrize((d * w.cov_weights[:, None]).T @ d)
+    d = points - mean[..., None, :]
+    cov = symmetrize((d * w.cov_weights[:, None]).swapaxes(-1, -2) @ d)
     if not np.isfinite(cov).all():
         raise NonFiniteValueError("recombined covariance has a non-finite entry")
-    # Clip tiny negative eigenvalues so the result is a valid covariance.
-    evals = np.linalg.eigvalsh(cov)
-    if evals.min() < 0.0:
-        wv, v = eigh(cov)
-        cov = symmetrize((v * np.clip(wv, 0.0, None)) @ v.T)
+    # Clip tiny negative eigenvalues so each result is a valid covariance.
+    stack = cov.reshape((-1,) + cov.shape[-2:])
+    for i in np.flatnonzero(np.linalg.eigvalsh(stack)[:, 0] < 0.0):
+        wv, v = eigh(stack[i])
+        stack[i] = symmetrize((v * np.clip(wv, 0.0, None)) @ v.T)
+    if points.ndim > 2:
+        return mean, cov
     return Gaussian._unchecked(mean, cov)

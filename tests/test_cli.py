@@ -241,6 +241,26 @@ class TestRun:
         assert run_cli("run", "--scenario", str(scen), "--network", str(net),
                        "--horizon", "0.3", "--out", str(out)) == code
 
+    # `run` on a zero-length centerline is a case of test_network_file_centerlines.
+    @pytest.mark.parametrize("command, centerline", [
+        pytest.param("evaluate", [[0.0, 0.0], [0.0, 0.0]], id="evaluate-zero-length"),
+        pytest.param("run", None, id="run-missing-file"),
+        pytest.param("evaluate", None, id="evaluate-missing-file"),
+    ])
+    def test_network_file_errors_are_usage_errors(self, tmp_path, command, centerline):
+        net = tmp_path / "network.json"
+        if centerline is not None:
+            net.write_text(json.dumps({"segments": [{"id": "approach", "centerline": centerline,
+                                                     "half_width": 2.0, "successors": []}]}))
+        data = Path(__file__).parent / "data"
+        if command == "run":
+            argv = ("run", "--scenario", str(data / "turn_scenario.json"),
+                    "--out", str(tmp_path / "frames.jsonl"))
+        else:
+            argv = ("evaluate", "--frames", str(data / "turn_frames.jsonl"), "--metric", "eote",
+                    "--route", "approach", "--samples", "10")
+        assert run_cli(*argv, "--network", str(net)) == 2
+
     def test_missing_scenario_key(self, tmp_path):
         scen = tmp_path / "bad.json"
         scen.write_text(json.dumps({"model": "bicycle", "network": "turn"}))

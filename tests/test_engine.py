@@ -1,10 +1,20 @@
 """Anticipation engine tests."""
 
+import logging
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
+
+import hgmm.core
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hgmm import (
     DynamicsModel,
+    assess_linearity,
+    generate_sigma_points,
     EngineConfig,
     Gaussian,
     HybridMixand,
@@ -16,9 +26,12 @@ from hgmm import (
     step_continuous,
     step_discrete,
 )
+from hgmm.core import matrix_sqrt, normalize, symmetrize
 from hgmm.errors import ModelEvaluationFailure, NoSuccessorError
 from hgmm.evaluation import default_grid, mixture_pdf_points, numerical_kld
 from hgmm.models import BicycleModel, UngmModel, builtin_network, ungm_truth_density
+from hgmm.sigma import RecombinationWeights
+from hgmm.splitting import apply_split
 
 
 class LinearModel(DynamicsModel):
@@ -52,6 +65,127 @@ class LinearModel(DynamicsModel):
 
 def single(gaussian, alpha="s", w=1.0):
     return HybridMixture((HybridMixand(w, alpha, gaussian),))
+
+
+# -- depth-first reference ----------------------------------------------------
+# The step as it was before propagation went level by level: one mixand at a
+# time off a stack, with per-mixand kernels (SciPy QR and eigh, whole-array
+# norms).  The level-synchronous step must match it bit for bit, because the
+# reducer breaks exact cost ties by rounding.
+
+
+def _sigma_points_reference(g, noise, lam):
+    n_x, n_v = g.dim, noise.dim
+    lam = 3.0 - (n_x + n_v) if lam is None else lam
+    n = n_x + n_v
+    gamma = np.sqrt(n + lam)
+    spread = gamma * matrix_sqrt(g.cov).T
+    chi = np.tile(g.mean, (1 + 2 * n, 1))
+    chi[1 : 1 + 2 * n_x] = np.vstack([g.mean + spread, g.mean - spread])
+    ups = np.zeros((1 + 2 * n, n_v))
+    if n_v > 0:
+        spread_v = gamma * noise.sqrt.T
+        ups[1 + 2 * n_x :] = np.vstack([spread_v, -spread_v])
+    return chi, ups, RecombinationWeights.for_dims(n_x, n_v, float(lam))
+
+
+def _principal_axis_reference(moment):
+    evals, evecs = scipy.linalg.eigh(moment)
+    top = evals[-1]
+    if top <= 0.0:
+        return np.eye(len(evals))[0]
+    tied = [i for i in range(len(evals)) if evals[i] >= top - 1e-10 * max(top, 1.0)]
+    axis = evecs[:, min(tied, key=lambda i: int(np.argmax(np.abs(evecs[:, i]))))].copy()
+    nz = np.nonzero(np.abs(axis) > 1e-14)[0]
+    if nz.size and axis[nz[0]] < 0:
+        axis = -axis
+    return axis / np.linalg.norm(axis)
+
+
+def _assess_reference(pre, post, prior_cov, normalization, e_res_max):
+    """(e_res, passed, split axis) of one mixand's affine fit."""
+    m, n_x = pre.shape
+    q_t, r_t = scipy.linalg.qr(np.vstack([pre.T, np.ones((1, m))]).T)
+    l0_diag = np.abs(np.diag(r_t.T[:, : n_x + 1]))
+    rank_deficient = l0_diag.min() <= 1e-12 * max(l0_diag.max(), 1.0)
+    chi_res = (post.T @ q_t)[:, n_x + 1:]
+    e_res = float(np.linalg.norm(chi_res))
+    if normalization == "scaled":
+        e_res /= math.sqrt(m) * math.sqrt(max(float(np.trace(prior_cov)), 1e-300))
+    point_residuals = np.hstack([np.zeros((n_x, n_x + 1)), chi_res]) @ q_t.T
+    centered = pre - pre[0]
+    moment = (centered * np.linalg.norm(point_residuals, axis=0)[:, None]).T @ centered
+    return (e_res, bool(rank_deficient or e_res <= e_res_max),
+            _principal_axis_reference(0.5 * (moment + moment.T)))
+
+
+def _recombine_reference(points, w):
+    mean = w.mean_weights @ points
+    d = points - mean
+    cov = symmetrize((d * w.cov_weights[:, None]).T @ d)
+    if np.linalg.eigvalsh(cov).min() < 0.0:
+        wv, v = scipy.linalg.eigh(cov)
+        cov = symmetrize((v * np.clip(wv, 0.0, None)) @ v.T)
+    return mean, cov
+
+
+def _step_continuous_reference(mix, model, cfg, lib=None):
+    assess = lib is not None and math.isfinite(cfg.e_res_max)
+    pending = [(w, alpha, Gaussian._unchecked(mean, cov), 0) for w, alpha, mean, cov
+               in zip(mix.weights.tolist(), mix.labels, mix.means, mix.covs)][::-1]
+    out = []
+    while pending:
+        weight, alpha, g, depth = pending.pop()
+        chi, ups, w = _sigma_points_reference(g, model.process_noise, cfg.lam)
+        propagated = np.asarray(model.f_c_batch(alpha, chi, ups), dtype=float)
+        if assess:
+            state = slice(0, 1 + 2 * model.n_x)
+            _, passed, axis = _assess_reference(chi[state], propagated[state], g.cov,
+                                                cfg.normalization, cfg.e_res_max)
+            if not passed and depth < cfg.max_split_depth:
+                children = apply_split((weight, g), axis, lib.get(cfg.split_n, cfg.split_sigma))
+                pending.extend((w, alpha, c, depth + 1) for w, c in children[::-1])
+                continue
+        mean, cov = _recombine_reference(propagated, w)
+        out.append((weight, alpha, mean, cov))
+    weights, labels, means, covs = zip(*out)
+    return normalize((weights, means, covs, labels), mix.time_index + 1)
+
+
+def assert_frames_identical(got, want):
+    assert got.labels == want.labels
+    for key in ("weights", "means", "covs"):
+        assert np.array_equal(getattr(got, key), getattr(want, key)), key
+
+
+BICYCLES = {name: BicycleModel(builtin_network(name)) for name in ("turn", "intersection")}
+# Noise-free, so its sigma-point sets have no noise block (n_v = 0).
+NOISE_FREE = LinearModel([[1.0, 0.1, 0.0], [-0.2, 0.9, 0.1], [0.0, 0.3, 1.1]],
+                         routing={"a": [("b", 0.5), ("c", 0.5)]})
+
+
+def random_prior(rng, m, case):
+    """m mixands around the junction of a builtin network, or for the noise-free model.
+
+    Half the noise-free mixands have a singular covariance, whose recombined
+    covariance often has a negative eigenvalue to clip.
+    """
+    if case == "noise-free":
+        dim, labels = 3, rng.choice(["a", "b"], m)
+        means = rng.normal(size=(m, dim))
+        scales = rng.uniform(0.05, 2.0, (m, dim))
+        scales[rng.random(m) < 0.5, 0] = 0.0
+    else:
+        dim, labels = 4, ["approach"] * m
+        # x from before to past the end of the approach (x = 40), so some fan out.
+        means = np.column_stack([rng.uniform(30.0, 46.0, m), rng.uniform(-1.0, 1.0, m),
+                                 rng.uniform(7.0, 11.0, m), rng.uniform(-0.2, 0.2, m)])
+        scales = rng.uniform(0.05, 2.0, (m, dim)) * [1.0, 1.0, 1.0, 0.05]
+    mixands = []
+    for w, label, mean, scale in zip(rng.dirichlet(np.ones(m)), labels, means, scales):
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        mixands.append(HybridMixand(float(w), str(label), Gaussian(mean, (q * scale) @ q.T)))
+    return normalize(mixands)
 
 
 class TestStepDiscrete:
@@ -127,6 +261,84 @@ class TestStepContinuous:
         assert klds[0.01] < klds[np.inf]
 
 
+class TestLevelSynchronousStep:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        case=st.sampled_from(["turn", "intersection", "noise-free"]),
+        m=st.integers(1, 6),
+        depth=st.integers(0, 3),
+        e_res_max=st.sampled_from([0.0, 0.05, 0.2, math.inf]),
+        normalization=st.sampled_from(["raw", "scaled"]),
+        with_lib=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    @example(case="intersection", m=6, depth=2, e_res_max=0.05, normalization="scaled",
+             with_lib=True, seed=3)
+    @example(case="turn", m=4, depth=3, e_res_max=0.0, normalization="raw", with_lib=True, seed=4)
+    @example(case="noise-free", m=5, depth=3, e_res_max=0.0, normalization="raw",
+             with_lib=True, seed=5)
+    def test_matches_depth_first_reference(self, case, m, depth, e_res_max, normalization,
+                                           with_lib, seed, lib):
+        model = NOISE_FREE if case == "noise-free" else BICYCLES[case]
+        # The fan-out leaves several labels in one level.
+        mix = step_discrete(random_prior(np.random.default_rng(seed), m, case), model)
+        cfg = EngineConfig(e_res_max=e_res_max, max_split_depth=depth,
+                           normalization=normalization)
+        lib = lib if with_lib else None
+        want = _step_continuous_reference(mix, model, cfg, lib)
+        assert_frames_identical(step_continuous(mix, model, cfg, lib), want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        case=st.sampled_from(["turn", "intersection", "noise-free"]),
+        m=st.integers(1, 6),
+        normalization=st.sampled_from(["raw", "scaled"]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_stacked_assessment_matches_per_mixand(self, case, m, normalization, seed):
+        model = NOISE_FREE if case == "noise-free" else BICYCLES[case]
+        mix = step_discrete(random_prior(np.random.default_rng(seed), m, case), model)
+        s = generate_sigma_points((mix.means, mix.covs), model.process_noise)
+        post = np.stack([model.f_c_batch(alpha, xs, vs) for alpha, xs, vs
+                         in zip(mix.labels, s.state_points, s.noise_points)])
+        state = slice(0, 1 + 2 * model.n_x)
+        report = assess_linearity(s.state_block(), post[:, state], prior_cov=mix.covs,
+                                  normalization=normalization, e_res_max=0.05)
+        for i, cov in enumerate(mix.covs):
+            e_res, passed, axis = _assess_reference(s.state_points[i, state], post[i, state], cov,
+                                                    normalization, 0.05)
+            assert report.e_res[i] == e_res and report.passed[i] == passed
+            assert np.array_equal(report.split_axis[i], axis)
+
+    @pytest.mark.parametrize("case", ["turn", "noise-free"])
+    def test_singular_covariance_takes_the_eigen_path_alone(self, case, lib, monkeypatch,
+                                                            random_spd):
+        # One PSD but singular covariance makes the stacked Cholesky fail for
+        # the whole level; only that mixand may fall back to the eigen path.
+        model = NOISE_FREE if case == "noise-free" else BICYCLES[case]
+        rng = np.random.default_rng(11)
+        mix = random_prior(rng, 4, case)
+        covs = np.stack([random_spd(rng, mix.dim) for _ in range(4)])
+        covs[2] = np.diag([1.0] * (mix.dim - 1) + [0.0])
+        mix = normalize((mix.weights, mix.means, covs, mix.labels))
+        cfg = EngineConfig(e_res_max=0.05, max_split_depth=2, normalization="raw")
+        want = _step_continuous_reference(mix, model, cfg, lib)
+        fallbacks = []
+        real_eigh = hgmm.core.eigh
+        monkeypatch.setattr(hgmm.core, "eigh", lambda a: fallbacks.append(a) or real_eigh(a))
+        assert_frames_identical(step_continuous(mix, model, cfg, lib), want)
+        assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], covs[2])
+
+    def test_depth_cap_warning_counts_mixands_as_an_int(self, lib, caplog):
+        prior = single(Gaussian(np.array([20.0, 0.0, 9.0, 0.0]), np.diag([2.0, 2.0, 2.0, 0.1])),
+                       alpha="approach")
+        cfg = EngineConfig(e_res_max=0.05, max_split_depth=1, normalization="raw")
+        with caplog.at_level(logging.WARNING, logger="hgmm.engine"):
+            step_continuous(prior, BICYCLES["turn"], cfg, lib)
+        (record,) = [r for r in caplog.records if "depth cap" in r.msg]
+        assert type(record.args[1]) is int and record.args[1] == 5
+
+
 class TestAnticipate:
     def test_zero_noise_linear_two_steps(self):
         a = np.array([[0.9]])
@@ -179,18 +391,25 @@ class TestAnticipate:
         with pytest.raises(ModelEvaluationFailure, match="alpha='lane-7'.*map undefined here"):
             anticipate(single(Gaussian(np.zeros(1), np.eye(1)), alpha="lane-7"), model, cfg)
 
+    @pytest.mark.parametrize("network, x, label", [
+        pytest.param("turn", 20.0, "approach", id="turn"),
+        # Past the junction: one level holds left, straight and right.
+        pytest.param("intersection", 41.0, "straight", id="intersection"),
+    ])
     @pytest.mark.parametrize("e_res_max", [np.inf, 0.1])
-    def test_non_finite_model_output_names_the_mixand_label(self, e_res_max, lib):
+    def test_non_finite_model_output_names_the_mixand_label(self, network, x, label, e_res_max,
+                                                            lib):
         class NanModel(BicycleModel):
             def f_c_batch(self, alpha_next, xs, vs):
                 out = super().f_c_batch(alpha_next, xs, vs)
-                out[3, 1] = np.nan
+                if alpha_next == label:
+                    out[3, 1] = np.nan
                 return out
 
-        model = NanModel(builtin_network("turn"))
-        prior = Gaussian(np.array([20.0, 0.0, 9.0, 0.0]), np.diag([1.0, 1.0, 1.0, 0.05]))
+        model = NanModel(builtin_network(network))
+        prior = Gaussian(np.array([x, 0.0, 9.0, 0.0]), np.diag([1.0, 1.0, 1.0, 0.05]))
         cfg = EngineConfig(e_res_max=e_res_max, dt=0.1, horizon=0.5, normalization="raw")
-        with pytest.raises(ModelEvaluationFailure, match="alpha='approach'.*non-finite"):
+        with pytest.raises(ModelEvaluationFailure, match=f"alpha='{label}'.*non-finite"):
             anticipate(single(prior, alpha="approach"), model, cfg, lib)
 
     def test_model_without_batch_dynamics_cannot_be_built(self):
