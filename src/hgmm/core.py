@@ -38,6 +38,16 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
+def row_dots(x: np.ndarray) -> np.ndarray:
+    """Each row's dot product with itself, rounded as ``v @ v`` rounds one row.
+
+    Every row is one BLAS dot, the call ``v @ v`` and ``np.linalg.norm(v)``
+    make for a single vector; a sum along an axis rounds differently.
+    """
+    x = np.ascontiguousarray(x)
+    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
 def _as_matrix(cov) -> np.ndarray:
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     if cov.shape[-2] != cov.shape[-1]:
@@ -125,11 +135,12 @@ def _stack(mixands: Sequence[HybridMixand]) -> tuple:
     )
 
 
-def _frame(weights, means, covs, labels, time_index) -> HybridMixture:
-    """Frame on arrays whose weights sum to one, checked once as a whole."""
+def _frame(weights, means, covs, labels, time_index, check=True) -> HybridMixture:
+    """Frame on arrays whose weights sum to one, its moments checked once as a whole."""
     if not (weights > 0).all():
         raise ValueError("mixand weights must be positive")
-    _check_moments(means, covs)
+    if check:
+        _check_moments(means, covs)
     for array in (weights, means, covs):
         array.setflags(write=False)
     frame = object.__new__(HybridMixture)
@@ -181,6 +192,8 @@ def normalize(
     mixands,
     time_index: int = 0,
     weight_floor: float = 0.0,
+    *,
+    check: bool = True,
 ) -> HybridMixture:
     """Rescale weights to sum to one, optionally dropping negligible mixands.
 
@@ -189,6 +202,11 @@ def normalize(
     With a positive ``weight_floor``, mixands lighter than the floor after
     the first normalization pass are removed and weights renormalized.  A
     frame that this leaves unchanged is returned as it is.
+
+    The means and covariances of a tuple are checked like ``Gaussian``'s;
+    ``check=False`` skips that for rows taken from, or moment-matched
+    within, a frame that was checked already.  A frame's rows are never
+    checked again.
     """
     frame = mixands if isinstance(mixands, HybridMixture) else None
     if frame is not None:
@@ -224,7 +242,7 @@ def normalize(
     if (frame is not None and time_index == frame.time_index
             and len(weights) == len(frame) and (weights == frame.weights).all()):
         return frame
-    return _frame(weights, means, covs, labels, time_index)
+    return _frame(weights, means, covs, labels, time_index, check=check and frame is None)
 
 
 @dataclass(frozen=True)
@@ -271,10 +289,8 @@ def matrix_sqrt(cov: np.ndarray) -> np.ndarray:
         return cov.copy()
     _check_symmetric(cov)
     sym = symmetrize(cov)
-    # One matrix keeps SciPy's factor: its Fortran order sets how products
-    # with it round (``apply_split``'s ``t.T @ axis``).
     try:
-        return np.linalg.cholesky(sym) if sym.ndim > 2 else cholesky(sym, lower=True)
+        return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
         if sym.ndim > 2:
             return np.stack([matrix_sqrt(m) for m in sym])

@@ -108,20 +108,34 @@ class EngineConfig:
 
 
 def step_discrete(mix: HybridMixture, model: DynamicsModel) -> HybridMixture:
-    """Fan each mixand out over its possible next discrete states."""
+    """Fan each mixand out over its possible next discrete states.
+
+    A mixand leaves its state when ``transition_mask`` flags its mean; the
+    means of all mixands with one label go through one call.
+    """
+    moved = np.zeros(len(mix), dtype=bool)
+    succ = {}
+    for alpha in dict.fromkeys(mix.labels):
+        rows = [i for i, label in enumerate(mix.labels) if label == alpha]
+        moved[rows] = model.transition_mask(alpha, mix.means[rows])
+        if moved[rows].any():
+            succ[alpha] = model.successor_options(alpha)
+            if not succ[alpha]:
+                raise NoSuccessorError(f"discrete state {alpha!r} has no successors")
+            total = sum(p for _, p in succ[alpha])
+            if abs(total - 1.0) > 1e-9:
+                raise ValueError(f"successor probabilities of {alpha!r} sum to {total}")
     out = []
-    for i, (w, alpha) in enumerate(zip(mix.weights.tolist(), mix.labels)):
-        succ = model.discrete_successors(alpha, Gaussian._unchecked(mix.means[i], mix.covs[i]))
-        if not succ:
-            raise NoSuccessorError(f"discrete state {alpha!r} has no successors")
-        total = sum(p for _, p in succ)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"successor probabilities of {alpha!r} sum to {total}")
-        out.extend((i, w * p, alpha_next) for alpha_next, p in succ if p > 0.0)
+    for i, (w, alpha, leaves) in enumerate(zip(mix.weights.tolist(), mix.labels, moved.tolist())):
+        if leaves:
+            out.extend((i, w * p, alpha_next) for alpha_next, p in succ[alpha] if p > 0.0)
+        else:
+            out.append((i, w, alpha))
     rows, weights, labels = map(list, zip(*out))
     if weights == mix.weights.tolist() and labels == list(mix.labels):
-        return normalize(mix, mix.time_index)   # no hypothesis moved: keep the checked frame
-    return normalize((weights, mix.means[rows], mix.covs[rows], labels), mix.time_index)
+        return normalize(mix, mix.time_index)   # every move kept its label: keep the frame
+    return normalize((weights, mix.means[rows], mix.covs[rows], labels), mix.time_index,
+                     check=False)
 
 
 def step_continuous(
@@ -140,23 +154,26 @@ def step_continuous(
     the input mixands and of their children.
     """
     assess = lib is not None and math.isfinite(cfg.e_res_max)
-    paths = [(i,) for i in range(len(mix))]
-    weights, labels, means, covs = mix.weights.tolist(), mix.labels, mix.means, mix.covs
+    index: dict = {}    # label -> code; ``names`` maps a code back to its label
+    code = np.array([index.setdefault(alpha, len(index)) for alpha in mix.labels])
+    names = list(index)
+    paths = np.arange(len(mix))[:, None]
+    weights, means, covs = mix.weights, mix.means, mix.covs
     out, depth_capped = [], 0
     for depth in itertools.count():
         sigma_set = generate_sigma_points((means, covs), model.process_noise, cfg.lam)
         propagated = np.empty(sigma_set.state_points.shape)
-        for alpha in dict.fromkeys(labels):
-            rows = [i for i, label in enumerate(labels) if label == alpha]
+        for c in dict.fromkeys(code.tolist()):
+            rows = np.flatnonzero(code == c)
             subset = replace(sigma_set, state_points=sigma_set.state_points[rows],
                              noise_points=sigma_set.noise_points[rows])
             try:
-                propagated[rows] = propagate_points(subset, alpha, model.f_c_batch)
+                propagated[rows] = propagate_points(subset, names[c], model.f_c_batch)
             except ModelEvaluationFailure as exc:
                 raise ModelEvaluationFailure(
-                    f"dynamics evaluation failed for mixand alpha={alpha!r}: {exc}"
+                    f"dynamics evaluation failed for mixand alpha={names[c]!r}: {exc}"
                 ) from exc
-        split = np.zeros(len(labels), dtype=bool)
+        split = np.zeros(len(code), dtype=bool)
         if assess:
             report = assess_linearity(sigma_set.state_block(), propagated[:, : 1 + 2 * model.n_x],
                                       prior_cov=covs, normalization=cfg.normalization,
@@ -165,26 +182,33 @@ def step_continuous(
                 split = ~report.passed
             else:
                 depth_capped = int(np.count_nonzero(~report.passed))
-        kept = np.flatnonzero(~split).tolist()
-        if kept:
-            kept_means, kept_covs = recombine(propagated[kept], sigma_set.weights())
-            out.extend((paths[i], weights[i], labels[i], mean, cov)
-                       for i, mean, cov in zip(kept, kept_means, kept_covs))
+        kept = np.flatnonzero(~split)
+        if kept.size:
+            out.append((paths[kept], weights[kept], code[kept],
+                        *recombine(propagated[kept], sigma_set.weights())))
         if not split.any():
             break
-        canonical = lib.get(cfg.split_n, cfg.split_sigma)
-        children = []
-        for i in np.flatnonzero(split).tolist():
-            parent = (weights[i], Gaussian._unchecked(means[i], covs[i]))
-            for k, (w, g) in enumerate(apply_split(parent, report.split_axis[i], canonical)):
-                children.append((paths[i] + (k,), w, labels[i], g.mean, g.cov))
-        paths, weights, labels, means, covs = zip(*children)
-        means, covs = np.stack(means), np.stack(covs)
+        parents = np.flatnonzero(split)
+        children = apply_split((weights[parents], means[parents], covs[parents]),
+                               report.split_axis[parents], lib.get(cfg.split_n, cfg.split_sigma))
+        n = len(children) // len(parents)
+        paths = np.column_stack([np.repeat(paths[parents], n, axis=0),
+                                 np.tile(np.arange(n), len(parents))])
+        code = np.repeat(code[parents], n)
+        weights, means, covs = children.weights, children.means, children.covs
     if depth_capped:
         log.warning("split depth cap %d reached for %d mixand(s) at step %d; recombined anyway",
                     cfg.max_split_depth, depth_capped, mix.time_index + 1)
-    out.sort(key=lambda row: row[0])
-    _, weights, labels, means, covs = zip(*out)
+    if len(out) == 1:   # the rows of one depth are in path order already
+        _, weights, code, means, covs = out[0]
+    else:
+        # Paths padded with -1 sort as tuples do; np.lexsort takes its primary key last.
+        out = [(np.hstack([p, np.full((len(p), depth + 1 - p.shape[1]), -1)]), *rest)
+               for p, *rest in out]
+        paths, weights, code, means, covs = (np.concatenate(block) for block in zip(*out))
+        order = np.lexsort(paths.T[::-1])
+        weights, code, means, covs = weights[order], code[order], means[order], covs[order]
+    labels = [names[c] for c in code.tolist()]
     return normalize((weights, means, covs, labels), mix.time_index + 1)
 
 

@@ -109,23 +109,34 @@ def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
     """
     rng = np.random.default_rng(ps.seed if seed is None else seed)
     states = np.array(ps.states)
-    alphas = np.array(ps.alphas, dtype=object)
+    # Labels are held as integer codes into ``table``.
+    table, index = [], {}
+
+    def code(label) -> int:
+        if label not in index:
+            index[label] = len(table)
+            table.append(label)
+        return index[label]
+
+    def present() -> list:
+        """The codes in use, in ``repr`` order of their labels."""
+        return sorted(np.flatnonzero(np.bincount(codes)).tolist(), key=lambda c: repr(table[c]))
+
+    codes = np.array([code(alpha) for alpha in ps.alphas], dtype=int)
     noise_cov = model.process_noise.cov
     frames = []
     for _ in range(steps):
         # Discrete transition, grouped by current label.
-        new_alphas = alphas.copy()
-        for alpha in sorted(set(alphas.tolist()), key=repr):
-            idx = np.nonzero(alphas == alpha)[0]
-            mask = model.transition_mask(alpha, states[idx])
-            crossed = idx[mask]
+        new_codes = codes.copy()
+        for c in present():
+            idx = np.flatnonzero(codes == c)
+            crossed = idx[model.transition_mask(table[c], states[idx])]
             if crossed.size:
-                labels, probs = zip(*model.successor_options(alpha))
+                labels, probs = zip(*model.successor_options(table[c]))
                 probs = np.array(probs)
                 pick = rng.choice(len(labels), size=crossed.size, p=probs / probs.sum())
-                for j, c in zip(crossed, pick):
-                    new_alphas[j] = labels[c]
-        alphas = new_alphas
+                new_codes[crossed] = np.array([code(label) for label in labels])[pick]
+        codes = new_codes
         # Continuous propagation with per-particle noise draws.
         if noise_cov.shape[0] > 0:
             noise = rng.multivariate_normal(np.zeros(noise_cov.shape[0]), noise_cov,
@@ -133,10 +144,11 @@ def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
         else:
             noise = np.zeros((states.shape[0], 0))
         new_states = np.empty_like(states)
-        for alpha in sorted(set(alphas.tolist()), key=repr):
-            idx = np.nonzero(alphas == alpha)[0]
-            new_states[idx] = model.f_c_batch(alpha, states[idx], noise[idx])
+        for c in present():
+            idx = np.flatnonzero(codes == c)
+            new_states[idx] = model.f_c_batch(table[c], states[idx], noise[idx])
         states = new_states
+        alphas = np.fromiter(table, dtype=object, count=len(table))[codes]
         frames.append(ParticleSet(states.copy(), tuple(alphas.tolist()), ps.seed))
     return frames
 

@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
+from .core import row_dots
 from .errors import DimensionMismatchError
 
 _TIE_TOL = 1e-10
@@ -41,27 +42,27 @@ class LinearityReport:
     def split_axis(self) -> np.ndarray:
         """Unit vector, direction of worst affine fit (one row per mixand of a stack)."""
         if self.moment.ndim == 2:
-            return _principal_axis(self.moment)
-        return np.array([_principal_axis(m) for m in self.moment])
+            return _principal_axes(self.moment[None])[0]
+        return _principal_axes(self.moment)
 
 
-def _principal_axis(moment: np.ndarray) -> np.ndarray:
-    """Top eigenvector of a symmetric moment matrix, deterministically signed."""
-    evals, evecs = scipy.linalg.eigh(moment)
-    top = evals[-1]
-    if top <= 0.0:
-        axis = np.zeros(moment.shape[0])
-        axis[0] = 1.0
-        return axis
+def _principal_axes(moments: np.ndarray) -> np.ndarray:
+    """Top eigenvector of each symmetric moment matrix of a stack, deterministically signed."""
+    evals, evecs = scipy.linalg.eigh(moments)
+    rows = np.arange(len(moments))
+    top = evals[:, -1]
     # Candidates within tie tolerance of the top eigenvalue; prefer the one
-    # loading most heavily on the lowest coordinate index.
-    tied = [i for i in range(len(evals)) if evals[i] >= top - _TIE_TOL * max(top, 1.0)]
-    best = min(tied, key=lambda i: int(np.argmax(np.abs(evecs[:, i]))))
-    axis = evecs[:, best].copy()
-    nz = np.nonzero(np.abs(axis) > 1e-14)[0]
-    if nz.size and axis[nz[0]] < 0:
-        axis = -axis
-    return axis / np.linalg.norm(axis)
+    # loading most heavily on the lowest coordinate index, then the first.
+    tied = evals >= (top - _TIE_TOL * np.maximum(top, 1.0))[:, None]
+    load = np.abs(evecs).argmax(axis=1)
+    axis = evecs[rows, :, np.where(tied, load, evals.shape[1]).argmin(axis=1)]
+    nz = np.abs(axis) > 1e-14
+    first = nz.argmax(axis=1)
+    flip = nz[rows, first] & (axis[rows, first] < 0)
+    axis[flip] = -axis[flip]
+    axis = axis / np.sqrt(row_dots(axis))[:, None]
+    axis[top <= 0.0] = np.eye(moments.shape[1])[0]
+    return axis
 
 
 def assess_linearity(
@@ -112,9 +113,9 @@ def assess_linearity(
 
     rotated = post.swapaxes(1, 2) @ q_t                  # (M, n_x, m)
     chi_res = rotated[:, :, n_x + 1:]                    # unexplained block
-    # One norm per mixand: the norm of a whole array is a dot product,
-    # which rounds differently from a norm along an axis.
-    e_raw = np.array([np.linalg.norm(c) for c in chi_res])
+    # The norm of a whole array is one dot product, which rounds
+    # differently from a norm along an axis.
+    e_raw = np.sqrt(row_dots(chi_res.reshape(len(pre), -1)))
     padded = np.concatenate([np.zeros((len(pre), n_x, n_x + 1)), chi_res], axis=2)
     point_residuals = padded @ q_t.swapaxes(1, 2)        # (M, n_x, m)
 

@@ -11,12 +11,14 @@ The reducer keeps the mixands in index-keyed slots and their pair costs in
 an upper-triangular matrix over the slots, built once per call from
 batched moment-matched covariances and batched log-determinants.  A
 merge writes its product into the lower slot ``i`` and retires slot ``j``,
-so the alive slots keep the input order; only row and column ``i`` are then
-recomputed, again in one batched call.  Each row's minimum is cached, so
-finding the next merge scans M values rather than M^2 cells.  Ties go to
-the lowest ``(i, j)``.  The result depends only on the input values, never
-on object identity.  The matrix takes 8 M^2 bytes: 80 KB at the 100
-mixands of a split-heavy step, 115 MB at 3800.
+so the alive slots keep the input order.  Only row and column ``i`` are
+then recomputed: slot i's new moments are broadcast against its alive
+same-label partners in one batched call, with the rounding of the initial
+fill.  Each row's minimum is cached, so finding the next merge scans M
+values rather than M^2 cells; a merge rescans only the rows whose minimum
+it may have moved.  Ties go to the lowest ``(i, j)``.  The result depends
+only on the input values, never on object identity.  The matrix takes
+8 M^2 bytes: 80 KB at the 100 mixands of a split-heavy step, 115 MB at 3800.
 """
 
 from __future__ import annotations
@@ -55,15 +57,19 @@ class ReductionConfig:
 
 
 def _merged_moments(wa, ma, ca, wb, mb, cb):
-    """Moment-matched merge of stacked components: weights (k,), means (k, n), covs (k, n, n)."""
+    """Moment-matched merge of components: weights (...), means (..., n), covs (..., n, n).
+
+    Either side may be one component broadcast against a stack of the other.
+    The merge is symmetric in its two sides, bit for bit.
+    """
     w = wa + wb
-    fa, fb = (wa / w)[:, None], (wb / w)[:, None]
+    fa, fb = (wa / w)[..., None], (wb / w)[..., None]
     mean = fa * ma + fb * mb
     da, db = ma - mean, mb - mean
-    cov = fa[:, :, None] * (ca + da[:, :, None] * da[:, None, :]) + fb[:, :, None] * (
-        cb + db[:, :, None] * db[:, None, :]
+    cov = fa[..., None] * (ca + da[..., :, None] * da[..., None, :]) + fb[..., None] * (
+        cb + db[..., :, None] * db[..., None, :]
     )
-    return w, mean, 0.5 * (cov + cov.swapaxes(1, 2))
+    return w, mean, 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
 def merge_pair(a: HybridMixand, b: HybridMixand) -> HybridMixand:
@@ -94,7 +100,30 @@ def _pair_costs(w, mean, cov, logdet, ia, ib) -> np.ndarray:
             out[s : s + _CHUNK] = 0.5 * (
                 wm * np.linalg.slogdet(cm)[1] - w[a] * logdet[a] - w[b] * logdet[b]
             )
-    return np.nan_to_num(out, nan=_COST_MAX, posinf=_COST_MAX)
+    return _clamp(out)
+
+
+def _slot_costs(w, mean, cov, logdet, i, partners, k) -> np.ndarray:
+    """``merge_cost`` of slot ``i`` with each of the sorted ``partners``, the first ``k`` below i.
+
+    Slot i's moments are broadcast against the partners'.  A merge is
+    symmetric in its two slots, bit for bit, but the cost is not: as in
+    ``_pair_costs``, the lower slot's term is subtracted first.
+    """
+    wm, _, cm = _merged_moments(w[i], mean[i], cov[i], w[partners], mean[partners], cov[partners])
+    with np.errstate(invalid="ignore"):  # singular covariances: -inf + inf
+        merged = wm * np.linalg.slogdet(cm)[1]
+        own, theirs = w[i] * logdet[i], w[partners] * logdet[partners]
+        out = 0.5 * np.concatenate([(merged[:k] - theirs[:k]) - own,
+                                    (merged[k:] - own) - theirs[k:]])
+    return _clamp(out)
+
+
+def _clamp(costs: np.ndarray) -> np.ndarray:
+    """Costs with NaN and +inf replaced by ``_COST_MAX``; finite costs pass untouched."""
+    if np.isfinite(costs).all():
+        return costs
+    return np.nan_to_num(costs, nan=_COST_MAX, posinf=_COST_MAX)
 
 
 def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
@@ -138,30 +167,29 @@ def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
             )
             alive[drop] = False
             continue
-        wm, mm, cm = _merged_moments(w[[i]], mean[[i]], cov[[i]], w[[j]], mean[[j]], cov[[j]])
-        w[i], mean[i], cov[i] = wm[0], mm[0], cm[0]
-        alive[j] = False
-        costs[j, :] = np.inf
-        costs[:, j] = np.inf
+        w[i], mean[i], cov[i] = _merged_moments(w[i], mean[i], cov[i], w[j], mean[j], cov[j])
         logdet[i] = np.linalg.slogdet(cov[i])[1]
-        partners = np.flatnonzero(alive & (label == label[i]))
-        lo, hi = partners[partners < i], partners[partners > i]
-        ia = np.concatenate([lo, np.full(len(hi), i)])
-        ib = np.concatenate([np.full(len(lo), i), hi])
-        costs[ia, ib] = _pair_costs(w, mean, cov, logdet, ia, ib)
-        # Rows whose minimum sat on slot i or j are rescanned; rows above i
-        # that kept their minimum only need comparing with their new cell.
+        alive[j] = False
+        costs[j] = np.inf
+        costs[:, j] = np.inf
+        same = alive & (label == label[i])
+        same[i] = False
+        partners = np.flatnonzero(same)
+        k = int(np.searchsorted(partners, i))
+        lo, hi = partners[:k], partners[k:]
+        cost = _slot_costs(w, mean, cov, logdet, i, partners, k)
+        costs[lo, i] = cost[:k]
+        costs[i, hi] = cost[k:]
+        # Rescan rows i and j, the rows whose minimum sat on slot i or j, and
+        # the rows above i whose new cell may be their minimum.
         stale = (best == i) | (best == j)
-        stale[[i, j]] = True
-        lo = lo[~stale[lo]]
-        new = costs[lo, i]
-        won = (new < row_min[lo]) | ((new == row_min[lo]) & (i < best[lo]))
-        best[lo[won]] = i
-        row_min[lo[won]] = new[won]
+        stale[i] = stale[j] = True
+        stale[lo] |= cost[:k] <= row_min[lo]
         stale = np.flatnonzero(stale)
         for r0 in range(0, len(stale), block):
             rows = stale[r0 : r0 + block]
-            best[rows] = costs[rows].argmin(axis=1)
-            row_min[rows] = costs[rows, best[rows]]
+            scan = costs[rows]
+            best[rows] = scan.argmin(axis=1)
+            row_min[rows] = scan.min(axis=1)
     labels = tuple(alpha for alpha, keep in zip(mix.labels, alive) if keep)
-    return normalize((w[alive], mean[alive], cov[alive], labels), mix.time_index)
+    return normalize((w[alive], mean[alive], cov[alive], labels), mix.time_index, check=False)

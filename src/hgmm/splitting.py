@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Gaussian, HybridMixand, matrix_sqrt, symmetrize
+from .core import Gaussian, HybridMixand, matrix_sqrt, row_dots, symmetrize
 from .errors import (
     InvalidSigmaError,
     MaxIterationsError,
@@ -301,22 +301,42 @@ def build_library(
 
 
 def _householder_to_e1(u: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix (a reflection) mapping unit vector ``u`` to e1."""
-    d = u.shape[0]
+    """Orthogonal matrices (reflections) mapping each unit row of ``u`` to e1."""
+    d = u.shape[1]
     e1 = np.zeros(d)
     e1[0] = 1.0
     v = u - e1
-    nv2 = v @ v
-    if nv2 < 1e-24:
-        return np.eye(d)
-    return np.eye(d) - 2.0 * np.outer(v, v) / nv2
+    nv2 = row_dots(v)
+    tiny = nv2 < 1e-24
+    r = np.eye(d) - 2.0 * (v[:, :, None] * v[:, None, :]) / np.where(tiny, 1.0, nv2)[:, None, None]
+    r[tiny] = np.eye(d)
+    return r
 
 
-def apply_split(m, axis: np.ndarray, split: CanonicalSplit) -> list:
-    """Replace one mixand by the cached split applied along ``axis``.
+@dataclass(frozen=True)
+class SplitChildren:
+    """The children of a stack of split parents, parent by parent.
 
-    ``m`` is a ``HybridMixand``, or the ``(weight, Gaussian)`` pair the
-    engine passes; the children come back in the same form.
+    ``weights`` (K N,), ``means`` (K N, d) and ``covs`` (K N, d, d) for K
+    parents of N children each; ``len`` counts the children.
+    """
+
+    weights: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+
+def apply_split(m, axis: np.ndarray, split: CanonicalSplit):
+    """Replace a mixand by the cached split applied along ``axis``.
+
+    ``m`` is a ``HybridMixand`` or a ``(weight, Gaussian)`` pair, and the
+    children come back as a list in the same form.  A stack of K parents,
+    ``(weights (K,), means (K, d), covs (K, d, d))`` with one axis per row
+    of ``axis`` (K, d), is split in one pass and comes back as
+    ``SplitChildren``, every child rounded as in a split of its parent alone.
 
     The parent covariance factor T and an orthogonal alignment R map the
     canonical frame onto the parent.  The whitened-frame direction is
@@ -331,29 +351,39 @@ def apply_split(m, axis: np.ndarray, split: CanonicalSplit) -> list:
     if isinstance(m, HybridMixand):
         children = apply_split((m.weight, m.gaussian), axis, split)
         return [HybridMixand(w, m.discrete, g) for w, g in children]
-    weight, g = m
     axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    d = g.dim
-    t = matrix_sqrt(g.cov)
+    if axis.ndim == 1:
+        weight, g = m
+        out = apply_split((np.array([weight]), g.mean[None], g.cov[None]), axis[None], split)
+        if split.n == 1:
+            return [m]
+        return [(w, Gaussian._unchecked(mu, cov))
+                for w, mu, cov in zip(out.weights.tolist(), out.means, out.covs)]
+    weights, means, covs = (np.asarray(a, dtype=float) for a in m)
+    axis = axis / np.sqrt(row_dots(axis))[:, None]
+    # Each factor T in Fortran order, as SciPy returns a single one: the
+    # layout sets how T.T @ axis rounds.  ``tt`` holds T.T contiguously.
+    tt = np.ascontiguousarray(matrix_sqrt(covs).swapaxes(1, 2))
+    t = tt.swapaxes(1, 2)
     sv = np.linalg.svd(t, compute_uv=False)
-    if sv.min() <= 1e-12 * max(sv.max(), 1e-300):
+    if (sv.min(axis=1) <= 1e-12 * np.maximum(sv.max(axis=1), 1e-300)).any():
         raise SingularCovarianceError("parent covariance is singular; regularize first")
     if split.n == 1:
-        return [m]
+        return SplitChildren(weights, means, covs)
     # Direction of the split axis in the whitened frame.
-    u = t.T @ axis
-    u = u / np.linalg.norm(u)
-    r = _householder_to_e1(u)
-    trt = t @ r.T                      # canonical frame -> parent frame
+    u = (tt @ axis[:, :, None])[:, :, 0]
+    u = u / np.sqrt(row_dots(u))[:, None]
+    trt = t @ _householder_to_e1(u).swapaxes(1, 2)    # canonical frame -> parent frame
+    d = means.shape[1]
     canon_cov = np.eye(d)
     canon_cov[0, 0] = split.sigma ** 2
-    child_cov = symmetrize(trt @ canon_cov @ trt.T)
-    means = np.outer(split.offsets(), trt[:, 0]) + g.mean
-    weights = weight * split.weights
-    # Weight conservation must be exact; absorb rounding into the heaviest
-    # child.  The total is summed left to right, as Python's sum does.
-    total = sum(weights.tolist())
-    if total != weight:
-        weights[int(np.argmax(weights))] += weight - total
-    return [(w, Gaussian._unchecked(mu, child_cov)) for w, mu in zip(weights.tolist(), means)]
+    child_cov = symmetrize(trt @ canon_cov @ trt.swapaxes(1, 2))
+    child_means = split.offsets()[:, None] * trt[:, None, :, 0] + means[:, None, :]
+    child_weights = weights[:, None] * split.weights
+    # Weight conservation must be exact; absorb rounding into each parent's
+    # heaviest child.  Totals are summed left to right, as Python's sum does.
+    total = np.cumsum(child_weights, axis=1)[:, -1]
+    off = np.flatnonzero(total != weights)
+    child_weights[off, child_weights[off].argmax(axis=1)] += weights[off] - total[off]
+    return SplitChildren(child_weights.ravel(), child_means.reshape(-1, d),
+                         np.repeat(child_cov, split.n, axis=0))

@@ -23,6 +23,7 @@ from hgmm import (
     ProcessNoise,
     ReductionConfig,
     anticipate,
+    reduce_mixture,
     step_continuous,
     step_discrete,
 )
@@ -337,6 +338,43 @@ class TestLevelSynchronousStep:
             step_continuous(prior, BICYCLES["turn"], cfg, lib)
         (record,) = [r for r in caplog.records if "depth cap" in r.msg]
         assert type(record.args[1]) is int and record.args[1] == 5
+
+
+class TestMomentChecks:
+    """Rows are checked where they enter a frame, not again downstream."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        real = hgmm.core._check_moments
+        monkeypatch.setattr(hgmm.core, "_check_moments",
+                            lambda mean, cov: calls.append(len(mean)) or real(mean, cov))
+        return calls
+
+    def test_one_check_per_anticipate_step(self, checks, lib):
+        # Wide prior before the junction, cap 4: every step splits and merges,
+        # some fan out, and step 1 checks its 25 split children once.
+        prior = single(Gaussian(np.array([36.0, 0.0, 9.0, 0.0]), np.diag([2.0, 2.0, 2.0, 0.1])),
+                       alpha="approach")
+        cfg = EngineConfig(e_res_max=0.05, max_split_depth=2, reduction=ReductionConfig(4),
+                           normalization="raw", horizon=1.0)
+        checks.clear()
+        frames = anticipate(prior, BICYCLES["intersection"], cfg, lib)
+        assert len(set(frames[-1].labels)) > 1 and len(frames[-1]) == 4
+        assert len(checks) == cfg.n_steps and checks[0] == 25
+
+    def test_rows_of_a_checked_frame_are_not_checked_again(self, checks):
+        model = LinearModel(np.eye(1), routing={"a": [("b", 0.5), ("c", 0.5)]})
+        mix = HybridMixture(tuple(HybridMixand(w, label, Gaussian(np.array([x]), np.eye(1)))
+                                  for w, label, x in ((0.5, "a", 0.0), (0.5 - 1e-8, "a", 1.0),
+                                                      (1e-8, "d", 2.0))))
+        checks.clear()
+        assert len(step_discrete(mix, model)) == 5                    # fan-out
+        assert len(normalize(mix, weight_floor=1e-6)) == 2            # weight floor
+        assert len(reduce_mixture(mix, ReductionConfig(2))) == 2      # one merge
+        assert checks == []
+        normalize((mix.weights, mix.means, mix.covs, mix.labels))
+        assert checks == [3]
 
 
 class TestAnticipate:

@@ -12,6 +12,7 @@ from hgmm.errors import (
     NoFrameMatchError,
 )
 from hgmm.evaluation import (
+    ParticleSet,
     TrackObservations,
     _rect_corners,
     _rects_overlap,
@@ -84,6 +85,36 @@ def reference_collision(frames, ego_poses, samples, seed, footprint=(4.5, 2.0)):
         ego = _rect_corners(np.array(ex), np.array(ey), np.array(eth), *footprint)
         probs[i] = _rects_overlap(obs, ego).mean()
     return probs
+
+
+def reference_propagate(ps, model, steps, seed=None):
+    """The particle step on an object array of labels, one assignment per crossing particle."""
+    rng = np.random.default_rng(ps.seed if seed is None else seed)
+    states = np.array(ps.states)
+    alphas = np.array(ps.alphas, dtype=object)
+    noise_cov = model.process_noise.cov
+    frames = []
+    for _ in range(steps):
+        new_alphas = alphas.copy()
+        for alpha in sorted(set(alphas.tolist()), key=repr):
+            idx = np.nonzero(alphas == alpha)[0]
+            crossed = idx[model.transition_mask(alpha, states[idx])]
+            if crossed.size:
+                labels, probs = zip(*model.successor_options(alpha))
+                probs = np.array(probs)
+                pick = rng.choice(len(labels), size=crossed.size, p=probs / probs.sum())
+                for j, c in zip(crossed, pick):
+                    new_alphas[j] = labels[c]
+        alphas = new_alphas
+        noise = rng.multivariate_normal(np.zeros(noise_cov.shape[0]), noise_cov,
+                                        size=states.shape[0])
+        new_states = np.empty_like(states)
+        for alpha in sorted(set(alphas.tolist()), key=repr):
+            idx = np.nonzero(alphas == alpha)[0]
+            new_states[idx] = model.f_c_batch(alpha, states[idx], noise[idx])
+        states = new_states
+        frames.append(ParticleSet(states.copy(), tuple(alphas.tolist()), ps.seed))
+    return frames
 
 
 def three_mixand_frame(x0, weights=(0.6, 1e-9, 0.4 - 1e-9)):
@@ -160,6 +191,20 @@ class TestParticles:
         sigma = math.sqrt((1 / 3) * (2 / 3) / count)
         for c in counts:
             assert abs(c / count - 1 / 3) < 3 * sigma
+
+    def test_label_codes_match_reference_loop(self):
+        # A wide prior short of the junction: particles cross into all three
+        # branches at different steps, so label groups split and regroup.
+        model = BicycleModel(intersection_network())
+        prior = single(Gaussian(np.array([34.0, 0.0, 9.0, 0.0]), np.diag([4.0, 1.0, 2.0, 0.05])),
+                       alpha="approach")
+        ps = sample_particles(prior, 3000, seed=9)
+        got = propagate_particles(ps, model, 12)
+        want = reference_propagate(ps, model, 12)
+        assert len(set(want[-1].alphas)) == 4
+        for g, w in zip(got, want):
+            assert g.states.tobytes() == w.states.tobytes()
+            assert g.alphas == w.alphas
 
 
 class TestNumericalKld:

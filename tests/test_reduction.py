@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from hgmm import (
     Gaussian,
+    apply_split,
+    default_library,
     HybridMixand,
     HybridMixture,
     ReductionConfig,
@@ -17,7 +19,7 @@ from hgmm import (
     reduce_mixture,
 )
 from hgmm.core import gaussian_logpdf
-from hgmm.reduction import merge_cost, merge_pair
+from hgmm.reduction import _pair_costs, _slot_costs, merge_cost, merge_pair
 
 
 def random_mixture(rng, random_spd, m, dim=2, alphas=("a",)):
@@ -96,6 +98,27 @@ class TestMergePair:
         g = Gaussian(np.zeros(2), np.eye(2))
         a = HybridMixand(0.5, "s", g)
         assert merge_cost(a, a) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestSlotCosts:
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_match_pair_costs_bit_for_bit(self, singular, rng, random_spd):
+        # A merged slot's costs must round as the initial fill's do: a
+        # last-bit difference can break an exact tie the other way.
+        m, i = 40, 17
+        w = rng.dirichlet(np.ones(m))
+        mean = rng.normal(size=(m, 3))
+        cov = np.stack([random_spd(rng, 3) for _ in range(m)])
+        if singular:
+            cov[::3] = 0.0
+        with np.errstate(divide="ignore"):
+            logdet = np.linalg.slogdet(cov)[1]
+        partners = np.flatnonzero(rng.random(m) < 0.7)
+        partners = partners[partners != i]
+        k = int(np.searchsorted(partners, i))
+        got = _slot_costs(w, mean, cov, logdet, i, partners, k)
+        want = _pair_costs(w, mean, cov, logdet, np.minimum(partners, i), np.maximum(partners, i))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestReduce:
@@ -225,3 +248,31 @@ class TestAgainstReference:
         del first
         second = reduce_mixture(copy.deepcopy(mix), ReductionConfig(8))
         assert mixture_bytes(second) == expected
+
+    def test_split_heavy_size_matches_reference(self, rng, random_spd, monkeypatch):
+        # 100 mixands of one label, the children of four parents split twice
+        # along two axes: mirror-image children share covariances and give
+        # many bit-equal pair costs, and the cap of 4 takes 96 merges.
+        split = default_library().get(5, 0.3)
+        mixands = []
+        for _ in range(4):
+            parent = HybridMixand(0.25, "a", Gaussian(rng.normal(size=4), random_spd(rng, 4)))
+            for child in apply_split(parent, np.eye(4)[0], split):
+                mixands.extend(apply_split(child, np.eye(4)[1], split))
+        mix = normalize(mixands)
+        assert len(mix) == 100
+
+        # merge_cost is a pure function of its two mixands, so the reference
+        # may reuse it for pairs it has costed before; this keeps its O(M^3)
+        # scan to about a second.  Keys hold the mixands, so ids stay unique.
+        seen, cost = {}, merge_cost
+
+        def cached_cost(a, b):
+            key = (id(a), id(b))
+            if key not in seen:
+                seen[key] = (a, b, cost(a, b))
+            return seen[key][2]
+
+        monkeypatch.setitem(globals(), "merge_cost", cached_cost)
+        out = reduce_mixture(mix, ReductionConfig(4))
+        assert mixture_bytes(out) == mixture_bytes(reference_reduce(mix, 4))

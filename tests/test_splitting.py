@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hgmm import Gaussian, HybridMixand, apply_split, isd_terms
+from hgmm.core import symmetrize
 from hgmm.errors import InvalidSigmaError
 from hgmm.splitting import (
     CanonicalSplit,
@@ -144,7 +148,58 @@ class TestLibrary:
             assert split.isd == pytest.approx(j, abs=1e-12)
 
 
+def apply_split_reference(weight, g, axis, split):
+    """One parent's split with single-matrix kernels: SciPy's Cholesky, 1-D dots and norms."""
+    axis = axis / np.linalg.norm(axis)
+    d = g.dim
+    t = scipy.linalg.cholesky(symmetrize(g.cov), lower=True)
+    u = t.T @ axis
+    u = u / np.linalg.norm(u)
+    e1 = np.eye(d)[0]
+    v = u - e1
+    nv2 = v @ v
+    r = np.eye(d) if nv2 < 1e-24 else np.eye(d) - 2.0 * np.outer(v, v) / nv2
+    trt = t @ r.T
+    canon_cov = np.eye(d)
+    canon_cov[0, 0] = split.sigma ** 2
+    child_cov = symmetrize(trt @ canon_cov @ trt.T)
+    means = np.outer(split.offsets(), trt[:, 0]) + g.mean
+    weights = weight * split.weights
+    total = sum(weights.tolist())
+    if total != weight:
+        weights[int(np.argmax(weights))] += weight - total
+    return weights, means, child_cov
+
+
 class TestApplySplit:
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 8), dim=st.integers(1, 4), n=st.sampled_from([3, 5, 9]),
+           seed=st.integers(0, 10_000))
+    @example(k=3, dim=4, n=5, seed=0)
+    def test_stack_matches_per_parent_reference(self, k, dim, n, seed, lib):
+        # Bit for bit: the reducer breaks exact cost ties by rounding.
+        rng = np.random.default_rng(seed)
+        split = lib.get(n, 0.3)
+        weights = rng.dirichlet(np.ones(k))
+        means = rng.normal(size=(k, dim))
+        covs = np.stack([symmetrize(a @ a.T) + 0.1 * np.eye(dim)
+                         for a in rng.normal(size=(k, dim, dim))])
+        axes = rng.normal(size=(k, dim))
+        # The whitened axis of an identity covariance along e1 is e1 itself.
+        covs[0], axes[0] = np.eye(dim), np.eye(dim)[0]
+        out = apply_split((weights, means, covs), axes, split)
+        assert len(out) == k * n
+        for i in range(k):
+            w, mu, cov = apply_split_reference(weights[i], Gaussian(means[i], covs[i]), axes[i],
+                                               split)
+            rows = slice(i * n, (i + 1) * n)
+            assert out.weights[rows].tobytes() == w.tobytes()
+            assert out.means[rows].tobytes() == mu.tobytes()
+            assert all(c.tobytes() == cov.tobytes() for c in out.covs[rows])
+            pair = apply_split((weights[i], Gaussian(means[i], covs[i])), axes[i], split)
+            assert [c[0] for c in pair] == w.tolist()
+            assert np.stack([c[1].mean for c in pair]).tobytes() == mu.tobytes()
+
     def test_identity_split_returns_parent(self):
         parent = HybridMixand(1.0, "s", Gaussian(np.zeros(2), np.eye(2)))
         split = CanonicalSplit(1, 1.0, 0.0, np.array([1.0]), 0.0)
