@@ -22,21 +22,11 @@ from .reduction import ReductionConfig
 from .sigma import generate_sigma_points, propagate_points, recombine
 from .splitting import SplitLibrary
 
-BENCHMARK_MODELS = ("ungm", "cubic")
-
-
-def make_benchmark_model(name: str):
-    if name == "ungm":
-        return UngmModel()
-    if name == "cubic":
-        return CubicModel()
-    raise KeyError(f"unknown benchmark model {name!r}; options: {BENCHMARK_MODELS}")
-
-
-def truth_density_for(name: str, prior: Gaussian, k: int = 0):
-    if name == "ungm":
-        return ungm_truth_density(prior, k)
-    return cubic_truth_density(prior)
+# Benchmark model name -> (model class, exact one-step density of a prior).
+BENCHMARK_MODELS = {
+    "ungm": (UngmModel, ungm_truth_density),
+    "cubic": (CubicModel, cubic_truth_density),
+}
 
 
 def sample_priors(samples: int, seed: int) -> list:
@@ -70,7 +60,6 @@ def propagate_with_splits(
     split_sigma: float,
     e_res_max: float = 0.01,
     max_split_depth: int = 4,
-    max_mixands: int = 2000,
 ) -> HybridMixture:
     """One adaptive step: split mixands whose raw affine residual exceeds the bound."""
     initial = HybridMixture((HybridMixand(1.0, 0, prior),))
@@ -79,7 +68,7 @@ def propagate_with_splits(
         split_n=split_n,
         split_sigma=split_sigma,
         max_split_depth=max_split_depth,
-        reduction=ReductionConfig(max_mixands),
+        reduction=ReductionConfig(2000),
         dt=1.0,
         horizon=1.0,
         normalization="raw",
@@ -113,13 +102,14 @@ def run_benchmark(
     grid_points: int = 20000,
 ) -> BenchmarkResult:
     """Run the full protocol; the split arm is skipped when no library is given."""
-    model = make_benchmark_model(model_name)
+    model_cls, truth_density = BENCHMARK_MODELS[model_name]
+    model = model_cls()
     priors = sample_priors(samples, seed)
     no_split = np.empty(samples)
     with_split = np.empty(samples) if lib is not None else None
     residuals = np.empty(samples)
     for i, prior in enumerate(priors):
-        truth = truth_density_for(model_name, prior)
+        truth = truth_density(prior)
         approx, e_res = propagate_no_split(model, prior)
         residuals[i] = e_res
         single = HybridMixture((HybridMixand(1.0, 0, approx),))

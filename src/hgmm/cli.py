@@ -21,11 +21,12 @@ import logging
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .benchmark import BENCHMARK_MODELS, make_benchmark_model, run_benchmark
+from .benchmark import BENCHMARK_MODELS, run_benchmark
 from .core import Gaussian, HybridMixand, HybridMixture
 from .engine import EngineConfig, anticipate
 from .errors import (
@@ -42,10 +43,10 @@ from .evaluation import (
     log_likelihood,
     nll,
 )
-from .models import BicycleModel, RoadNetwork, builtin_network
+from .models import BicycleConfig, BicycleModel, RoadNetwork, builtin_network
 from .reduction import ReductionConfig
 from .serialize import to_json
-from .splitting import SplitLibrary, build_library
+from .splitting import DEFAULT_GRID_MAX, DEFAULT_GRID_STEP, SplitLibrary, build_library
 
 log = logging.getLogger(__name__)
 
@@ -66,6 +67,16 @@ def _sha256(path) -> str:
 
 def _number_list(text: str, kind) -> list:
     return [kind(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _has_split(lib: SplitLibrary, n: int, sigma: float) -> bool:
+    """Whether ``lib`` holds the (n, sigma) split; prints the cache error if not."""
+    try:
+        lib.get(n, sigma)
+    except KeyError as exc:
+        print(f"split cache error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +126,7 @@ def cmd_benchmark(args, parser) -> int:
         if args.cache is None:
             parser.error("--cache is required unless --no-split is given")
         lib = SplitLibrary.load(args.cache)
-        try:
-            lib.get(args.split_n, args.split_sigma)
-        except KeyError as exc:
-            print(f"split cache error: {exc}", file=sys.stderr)
+        if not _has_split(lib, args.split_n, args.split_sigma):
             return EXIT_CACHE
     res = run_benchmark(
         args.model,
@@ -178,14 +186,14 @@ def _load_network(args, scenario, parser):
     return _network(path, parser), name
 
 
-def _build_model(scenario, network):
+def _build_model(scenario, network, dt: float):
     name = scenario.get("model", "bicycle")
     if name == "bicycle":
         if network is None:
             raise ValueError("bicycle scenarios require a road network")
-        return BicycleModel(network), name
+        return BicycleModel(network, BicycleConfig(dt=dt)), name
     if name in BENCHMARK_MODELS:
-        return make_benchmark_model(name), name
+        return BENCHMARK_MODELS[name][0](), name
     raise ValueError(f"unknown model {name!r}")
 
 
@@ -198,23 +206,28 @@ def _read_mixture(records, time_index: int = 0, int_labels: bool = False) -> Hyb
     ), time_index)
 
 
+def _flat_config(cfg: EngineConfig) -> dict:
+    """The fields of ``cfg`` by scenario key, ``reduction`` flattened to ``max_mixands``."""
+    flat = {}
+    for key, value in asdict(cfg).items():
+        flat.update(value if isinstance(value, dict) else {key: value})
+    return flat
+
+
 def _engine_config(scenario, args) -> EngineConfig:
-    eng = dict(scenario.get("engine", {}))
-    for flag in ("e_res_max", "horizon", "dt", "max_mixands"):
-        val = getattr(args, flag)
-        if val is not None:
-            eng[flag] = val
-    return EngineConfig(
-        e_res_max=float(eng.get("e_res_max", 0.1)),
-        split_n=int(eng.get("split_n", 5)),
-        split_sigma=float(eng.get("split_sigma", 0.3)),
-        max_split_depth=int(eng.get("max_split_depth", 4)),
-        reduction=ReductionConfig(int(eng.get("max_mixands", 10))),
-        lam=eng.get("lam"),
-        dt=float(eng.get("dt", 0.1)),
-        horizon=float(eng.get("horizon", 3.5)),
-        normalization=str(eng.get("normalization", "scaled")),
-    )
+    """The scenario's ``engine`` settings over EngineConfig's defaults, flags overriding.
+
+    Each value is coerced to its default's type, so ``"inf"`` is a valid ``e_res_max``.
+    """
+    settings = _flat_config(EngineConfig())
+    flags = {key: getattr(args, key) for key in ("e_res_max", "horizon", "dt", "max_mixands")}
+    given = {**scenario.get("engine", {}), **{k: v for k, v in flags.items() if v is not None}}
+    for key, value in given.items():
+        if key not in settings:
+            raise ValueError(f"unknown engine setting {key!r}; accepted: {', '.join(settings)}")
+        settings[key] = type(settings[key])(value)
+    max_mixands = settings.pop("max_mixands")
+    return EngineConfig(reduction=ReductionConfig(max_mixands), **settings)
 
 
 def _frame_record(k: int, t: float, mix: HybridMixture) -> dict:
@@ -235,19 +248,16 @@ def cmd_run(args, parser) -> int:
         scenario = json.load(fh)
     try:
         network, network_name = _load_network(args, scenario, parser)
-        model, model_name = _build_model(scenario, network)
         cfg = _engine_config(scenario, args)
+        model, model_name = _build_model(scenario, network, cfg.dt)
         initial = _read_mixture(scenario["initial"]["mixands"],
                                 int_labels=model_name in BENCHMARK_MODELS)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         parser.error(str(exc))
     lib = SplitLibrary.load(args.cache) if args.cache else None
-    if lib is not None and np.isfinite(cfg.e_res_max):
-        try:
-            lib.get(cfg.split_n, cfg.split_sigma)
-        except KeyError as exc:
-            print(f"split cache error: {exc}", file=sys.stderr)
-            return EXIT_CACHE
+    if lib is not None and np.isfinite(cfg.e_res_max) and not _has_split(
+            lib, cfg.split_n, cfg.split_sigma):
+        return EXIT_CACHE
     seed = args.seed if args.seed is not None else int(scenario.get("seed", 0))
     timings["setup"] = time.perf_counter() - t0
 
@@ -271,18 +281,7 @@ def cmd_run(args, parser) -> int:
         "command": "run",
         "version": __version__,
         "seed": seed,
-        "config": {
-            "model": model_name,
-            "network": network_name,
-            "e_res_max": cfg.e_res_max,
-            "split_n": cfg.split_n,
-            "split_sigma": cfg.split_sigma,
-            "max_split_depth": cfg.max_split_depth,
-            "max_mixands": cfg.reduction.max_mixands,
-            "dt": cfg.dt,
-            "horizon": cfg.horizon,
-            "normalization": cfg.normalization,
-        },
+        "config": {"model": model_name, "network": network_name, **_flat_config(cfg)},
         "inputs": {
             os.path.basename(p): _sha256(p)
             for p in [args.scenario]
@@ -404,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize-split", help="build the cached split library")
     p.add_argument("--n", required=True, help="comma-separated odd component counts")
     p.add_argument("--sigma", required=True, help="comma-separated std reductions in (0, 1]")
-    p.add_argument("--grid-step", type=float, default=1e-3)
-    p.add_argument("--grid-max", type=float, default=4.0)
+    p.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
+    p.add_argument("--grid-max", type=float, default=DEFAULT_GRID_MAX)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("benchmark", help="univariate propagation accuracy protocol")

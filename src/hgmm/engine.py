@@ -27,7 +27,7 @@ from .core import (
     normalize,
 )
 from .errors import ModelEvaluationFailure, NoSuccessorError
-from .linearity import assess_linearity
+from .linearity import _principal_axes, assess_linearity
 from .reduction import ReductionConfig, reduce_mixture
 from .sigma import generate_sigma_points, propagate_points, recombine
 from .splitting import SplitLibrary, apply_split
@@ -84,7 +84,6 @@ class EngineConfig:
     split_sigma: float = 0.3
     max_split_depth: int = 4
     reduction: ReductionConfig = field(default_factory=ReductionConfig)
-    lam: float | None = None          # sigma scaling; None -> 3 - (n_x + n_v)
     dt: float = 0.1
     horizon: float = 3.5
     normalization: str = "scaled"     # residual metric mode: "raw" | "scaled"
@@ -161,7 +160,7 @@ def step_continuous(
     weights, means, covs = mix.weights, mix.means, mix.covs
     out, depth_capped = [], 0
     for depth in itertools.count():
-        sigma_set = generate_sigma_points((means, covs), model.process_noise, cfg.lam)
+        sigma_set = generate_sigma_points((means, covs), model.process_noise)
         propagated = np.empty(sigma_set.state_points.shape)
         for c in dict.fromkeys(code.tolist()):
             rows = np.flatnonzero(code == c)
@@ -189,8 +188,10 @@ def step_continuous(
         if not split.any():
             break
         parents = np.flatnonzero(split)
+        # Axes for the split parents only; stacked eigh handles each matrix alone.
         children = apply_split((weights[parents], means[parents], covs[parents]),
-                               report.split_axis[parents], lib.get(cfg.split_n, cfg.split_sigma))
+                               _principal_axes(report.moment[parents]),
+                               lib.get(cfg.split_n, cfg.split_sigma))
         n = len(children) // len(parents)
         paths = np.column_stack([np.repeat(paths[parents], n, axis=0),
                                  np.tile(np.arange(n), len(parents))])

@@ -91,42 +91,29 @@ class CubicModel(DynamicsModel):
         return cubic_step(xs[:, :1])
 
 
-def pushforward_density(f, f_prime, critical_points, prior: Gaussian, span: float = 12.0):
-    """Exact density of f(X) for scalar X ~ prior, by change of variables.
+def pushforward_density(f, f_prime, prior: Gaussian):
+    """Exact density of f(X) for scalar X ~ prior and a monotone map f.
 
-    The domain is partitioned at the map's critical points into monotone
-    branches; each branch is inverted by dense monotone interpolation and
-    contributes prior(x) / |f'(x)| at the preimage.  Returns a vectorized
-    density function of the output variable.
+    f is inverted by dense interpolation over the prior mean +- 12 sd, and
+    the density at y is prior(x) / |f'(x)| at its preimage x.  Returns a
+    vectorized density function of the output variable.
     """
     mu = float(prior.mean[0])
     sd = math.sqrt(float(prior.cov[0, 0]))
     sd = max(sd, 1e-9)
-    lo, hi = mu - span * sd, mu + span * sd
-    edges = [lo] + sorted(c for c in critical_points if lo < c < hi) + [hi]
-    branches = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        xs = np.linspace(a, b, 20001)
-        ys = np.asarray(f(xs), dtype=float)
-        increasing = ys[-1] >= ys[0]
-        if not increasing:
-            xs, ys = xs[::-1], ys[::-1]
-        branches.append((xs, ys))
-
+    xs = np.linspace(mu - 12.0 * sd, mu + 12.0 * sd, 20001)
+    ys = np.asarray(f(xs), dtype=float)
+    if ys[-1] < ys[0]:
+        xs, ys = xs[::-1], ys[::-1]
     norm = 1.0 / (sd * math.sqrt(2.0 * math.pi))
 
     def density(y):
         y = np.atleast_1d(np.asarray(y, dtype=float))
         out = np.zeros_like(y)
-        for xs, ys in branches:
-            inside = (y >= ys[0]) & (y <= ys[-1])
-            if not inside.any():
-                continue
-            x_inv = np.interp(y[inside], ys, xs)
-            slope = np.abs(np.asarray(f_prime(x_inv), dtype=float))
-            slope = np.maximum(slope, 1e-12)
-            pdf = norm * np.exp(-0.5 * ((x_inv - mu) / sd) ** 2)
-            out[inside] += pdf / slope
+        inside = (y >= ys[0]) & (y <= ys[-1])
+        x_inv = np.interp(y[inside], ys, xs)
+        slope = np.maximum(np.abs(np.asarray(f_prime(x_inv), dtype=float)), 1e-12)
+        out[inside] = norm * np.exp(-0.5 * ((x_inv - mu) / sd) ** 2) / slope
         return out
 
     return density
@@ -134,12 +121,12 @@ def pushforward_density(f, f_prime, critical_points, prior: Gaussian, span: floa
 
 def ungm_truth_density(prior: Gaussian, k: int = 0):
     """Exact one-step propagated density of the growth map (it is monotone)."""
-    return pushforward_density(lambda x: ungm_step(x, k), ungm_derivative, [], prior)
+    return pushforward_density(lambda x: ungm_step(x, k), ungm_derivative, prior)
 
 
 def cubic_truth_density(prior: Gaussian):
     """Exact one-step propagated density of the cubic map (monotone: no real critical points)."""
-    return pushforward_density(cubic_step, cubic_derivative, [], prior)
+    return pushforward_density(cubic_step, cubic_derivative, prior)
 
 
 # ---------------------------------------------------------------------------

@@ -63,19 +63,17 @@ def solve_weight_qp(means: np.ndarray, sigma: float) -> np.ndarray:
     return simplex_qp(h, f)
 
 
-def simplex_qp(h: np.ndarray, f: np.ndarray, max_iter: int | None = None) -> np.ndarray:
+def simplex_qp(h: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Minimize w.H.w - 2 f.w subject to w >= 0, sum(w) = 1.
 
     H must be symmetric positive definite.  Uses a primal active-set
     method over the nonnegativity constraints with the equality handled
     through its multiplier; Bland's lowest-index rule keeps the iteration
-    deterministic and cycle-free.
+    deterministic and cycle-free; it gives up after 100 n iterations.
     """
     n = h.shape[0]
     if n == 1:
         return np.array([1.0])
-    if max_iter is None:
-        max_iter = 100 * n
 
     def eq_solve(free):
         # KKT system for min over the free coordinates with sum = 1.
@@ -105,7 +103,7 @@ def simplex_qp(h: np.ndarray, f: np.ndarray, max_iter: int | None = None) -> np.
     w = np.full(n, 1.0 / n)
     active = set()
     tol = 1e-12
-    for _ in range(max_iter):
+    for _ in range(100 * n):
         free = [i for i in range(n) if i not in active]
         if not free:
             raise QpInfeasibleError("all coordinates active; simplex empty")

@@ -26,7 +26,7 @@ def run_cli(*argv):
 
 
 def write_scenario(path, horizon=1.0, e_res_max=0.1, cov=None, max_mixands=10,
-                   normalization="raw"):
+                   normalization="raw", **engine):
     cov = cov or [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 0.05]]
     scenario = {
         "model": "bicycle",
@@ -39,6 +39,7 @@ def write_scenario(path, horizon=1.0, e_res_max=0.1, cov=None, max_mixands=10,
             "dt": 0.1,
             "horizon": horizon,
             "normalization": normalization,
+            **engine,
         },
         "initial": {
             "mixands": [
@@ -173,6 +174,8 @@ class TestRun:
         ["--horizon", "-1"], ["--horizon", "inf"], ["--e-res-max", "nan"],
         ["--e-res-max", "-0.1"],
         pytest.param({"normalization": "bogus"}, id="scenario-normalization-bogus"),
+        pytest.param({"max_split_dpeth": 2}, id="scenario-unknown-key"),
+        pytest.param({"lam": 1.0}, id="scenario-removed-key-lam"),
     ])
     def test_degenerate_engine_config_is_usage_error(self, tmp_path, flag):
         # A dict case sets scenario engine fields instead of command-line flags.
@@ -183,6 +186,20 @@ class TestRun:
         out = tmp_path / "frames.jsonl"
         assert run_cli("run", "--scenario", str(scen), "--out", str(out), *argv) == 2
         assert not out.exists()
+
+    def test_dt_sets_the_bicycle_step(self, tmp_path):
+        # A frame stamped t predicts time t whatever the frame spacing: the
+        # bicycle integrates with the engine's dt.
+        scen = Path(__file__).parent / "data" / "turn_scenario.json"
+        mean_x = {}
+        for dt in ("0.1", "0.2"):
+            out = tmp_path / f"dt{dt}.jsonl"
+            assert run_cli("run", "--scenario", str(scen), "--out", str(out), "--dt", dt,
+                           "--horizon", "2.0", "--e-res-max", "inf") == 0
+            last = json.loads(out.read_text().strip().splitlines()[-1])
+            assert last["t"] == pytest.approx(2.0)
+            mean_x[dt] = sum(m["w"] * m["mu"][0] for m in last["mixands"])
+        assert abs(mean_x["0.1"] - mean_x["0.2"]) < 0.5
 
     def test_split_heavy_sequential_identical_across_processes(self, tmp_path):
         # Every mixand splits and the cap forces many merges per step, so the

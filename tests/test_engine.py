@@ -137,7 +137,7 @@ def _step_continuous_reference(mix, model, cfg, lib=None):
     out = []
     while pending:
         weight, alpha, g, depth = pending.pop()
-        chi, ups, w = _sigma_points_reference(g, model.process_noise, cfg.lam)
+        chi, ups, w = _sigma_points_reference(g, model.process_noise, None)
         propagated = np.asarray(model.f_c_batch(alpha, chi, ups), dtype=float)
         if assess:
             state = slice(0, 1 + 2 * model.n_x)

@@ -42,7 +42,7 @@ class TestPushforward:
     def test_linear_subcase(self):
         # A purely linear scalar map sends N(0,1) to N(0, 0.09).
         prior = Gaussian(np.zeros(1), np.eye(1))
-        dens = pushforward_density(lambda x: 0.3 * np.asarray(x), lambda x: 0.3 + 0 * np.asarray(x), [], prior)
+        dens = pushforward_density(lambda x: 0.3 * np.asarray(x), lambda x: 0.3 + 0 * np.asarray(x), prior)
         xs = np.linspace(-2.0, 2.0, 2001)
         expected = np.exp(-0.5 * xs**2 / 0.09) / math.sqrt(2 * math.pi * 0.09)
         assert np.max(np.abs(dens(xs) - expected)) < 1e-6
