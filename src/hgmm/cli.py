@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import logging
 import os
@@ -58,6 +59,9 @@ EXIT_MODEL = 5
 EXIT_TIMESTAMPS = 6
 
 BUILTIN_NETWORKS = ("straight", "turn", "intersection")
+# The benchmark flags default to run_benchmark's own keyword defaults.
+_BENCHMARK_DEFAULTS = {name: param.default
+                       for name, param in inspect.signature(run_benchmark).parameters.items()}
 
 
 def _sha256(path) -> str:
@@ -67,6 +71,15 @@ def _sha256(path) -> str:
 
 def _number_list(text: str, kind) -> list:
     return [kind(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _load_library(path) -> SplitLibrary | None:
+    """The split library in ``path``; prints the cache error and returns None if unreadable."""
+    try:
+        return SplitLibrary.load(path)
+    except (KeyError, OSError, ValueError) as exc:
+        print(f"split cache error: {exc}", file=sys.stderr)
+        return None
 
 
 def _has_split(lib: SplitLibrary, n: int, sigma: float) -> bool:
@@ -125,8 +138,8 @@ def cmd_benchmark(args, parser) -> int:
     if not args.no_split:
         if args.cache is None:
             parser.error("--cache is required unless --no-split is given")
-        lib = SplitLibrary.load(args.cache)
-        if not _has_split(lib, args.split_n, args.split_sigma):
+        lib = _load_library(args.cache)
+        if lib is None or not _has_split(lib, args.split_n, args.split_sigma):
             return EXIT_CACHE
     res = run_benchmark(
         args.model,
@@ -225,7 +238,10 @@ def _engine_config(scenario, args) -> EngineConfig:
     for key, value in given.items():
         if key not in settings:
             raise ValueError(f"unknown engine setting {key!r}; accepted: {', '.join(settings)}")
-        settings[key] = type(settings[key])(value)
+        try:
+            settings[key] = type(settings[key])(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"engine setting {key!r}: {exc}") from exc
     max_mixands = settings.pop("max_mixands")
     return EngineConfig(reduction=ReductionConfig(max_mixands), **settings)
 
@@ -254,9 +270,9 @@ def cmd_run(args, parser) -> int:
                                 int_labels=model_name in BENCHMARK_MODELS)
     except (KeyError, TypeError, ValueError) as exc:
         parser.error(str(exc))
-    lib = SplitLibrary.load(args.cache) if args.cache else None
-    if lib is not None and np.isfinite(cfg.e_res_max) and not _has_split(
-            lib, cfg.split_n, cfg.split_sigma):
+    lib = _load_library(args.cache) if args.cache else None
+    if args.cache and (lib is None or (np.isfinite(cfg.e_res_max) and not _has_split(
+            lib, cfg.split_n, cfg.split_sigma))):
         return EXIT_CACHE
     seed = args.seed if args.seed is not None else int(scenario.get("seed", 0))
     timings["setup"] = time.perf_counter() - t0
@@ -327,7 +343,8 @@ def cmd_evaluate(args, parser) -> int:
     times, frames = load_frames(args.frames)
     if len(frames) == 0:
         parser.error("frames file is empty")
-    dt = args.dt if args.dt is not None else (times[1] - times[0] if len(times) > 1 else 0.1)
+    dt = args.dt if args.dt is not None else (
+        times[1] - times[0] if len(times) > 1 else EngineConfig().dt)
 
     if args.metric == "nll":
         if not args.particles:
@@ -413,10 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-split", action="store_true", help="baseline arm only")
     p.add_argument("--cache", help="split library file")
-    p.add_argument("--split-n", type=int, default=5)
-    p.add_argument("--split-sigma", type=float, default=0.3)
-    p.add_argument("--e-res-max", type=float, default=0.01)
-    p.add_argument("--max-depth", type=int, default=2)
+    p.add_argument("--split-n", type=int, default=_BENCHMARK_DEFAULTS["split_n"])
+    p.add_argument("--split-sigma", type=float, default=_BENCHMARK_DEFAULTS["split_sigma"])
+    p.add_argument("--e-res-max", type=float, default=_BENCHMARK_DEFAULTS["e_res_max"])
+    p.add_argument("--max-depth", type=int, default=_BENCHMARK_DEFAULTS["max_split_depth"])
     p.add_argument("--out", help="per-sample metrics CSV")
 
     p = sub.add_parser("run", help="anticipate a scenario; write frames + manifest")

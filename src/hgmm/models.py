@@ -207,6 +207,38 @@ class RoadNetwork:
             return RoadNetwork.from_dict(json.load(fh))
 
 
+# Batches of fewer rows take the dense projection: below this the pruned
+# path's fixed cost outweighs the cells it skips (sweep in CHANGES.md).
+_PRUNE_MIN_ROWS = 768
+# Most segments per block of the pruned projection.
+_BLOCK_SEGMENTS = 4
+
+
+def _cells(x, y, px, py, dx, dy, seg_len):
+    """Foot parameter t and distance from points (x, y) to segments, elementwise.
+
+    The segments start at (px, py), run along the unit vectors (dx, dy) and
+    have length seg_len; the arguments broadcast.  Both projection paths
+    compute every cell here, so each cell is rounded the same way whatever
+    the batch shape.
+    """
+    t = x - px
+    t *= dx
+    ty = y - py
+    ty *= dy
+    t += ty
+    np.clip(t, 0.0, seg_len, out=t)
+    ex = t * dx
+    ex += px
+    ex -= x
+    ey = np.multiply(t, dy, out=ty)
+    ey += py
+    ey -= y
+    ex *= ex
+    ex += np.square(ey, out=ey)
+    return t, np.sqrt(ex, out=ex)
+
+
 class Polyline:
     """Arclength-parameterized polyline; exact projection, ties to the lowest segment index."""
 
@@ -220,6 +252,25 @@ class Polyline:
         self.dirs = d / self.seg_len[:, None]
         self.cum = np.concatenate([[0.0], np.cumsum(self.seg_len)])
         self.length = float(self.cum[-1])
+        self._init_blocks()
+
+    def _init_blocks(self):
+        """Blocks of consecutive segments, each with the bounding box of its segments."""
+        n_seg = len(self.seg_len)
+        n_blocks = -(-n_seg // _BLOCK_SEGMENTS)
+        bounds = np.arange(n_blocks + 1) * n_seg // n_blocks
+        width = int(np.diff(bounds).max())
+        # (blocks, width) segment indices; a short block repeats its last segment.
+        seg = np.minimum(bounds[:-1, None] + np.arange(width), bounds[1:, None] - 1)
+        start, end = self.points[:-1], self.points[1:]
+        self._block_lo = np.minimum.reduceat(np.minimum(start, end), bounds[:-1]).T[:, :, None]
+        self._block_hi = np.maximum.reduceat(np.maximum(start, end), bounds[:-1]).T[:, :, None]
+        self._block_seg = seg.T                 # (width, blocks)
+        self._block_cells = np.concatenate(    # (5 * width, blocks): _cells' segment arguments
+            [v[seg].T for v in (start[:, 0], start[:, 1], self.dirs[:, 0], self.dirs[:, 1],
+                                self.seg_len)])
+        # Bounds every magnitude in a cell (|x| + |y| added per row); see `project`.
+        self._extent = float(np.abs(self.points).max() + self.seg_len.max())
 
     def point_at(self, s):
         s = np.clip(np.atleast_1d(np.asarray(s, dtype=float)), 0.0, self.length)
@@ -228,30 +279,80 @@ class Polyline:
         return self.points[idx] + self.dirs[idx] * local[:, None]
 
     def project(self, xy: np.ndarray):
-        """Closest-point projection: returns (arclength s, distance) per row."""
+        """Closest-point projection: returns (arclength s, distance) per row.
+
+        The closest point is on the first segment that attains the row's
+        least rounded distance.  Batches of `_PRUNE_MIN_ROWS` rows or more
+        compute only the segments that may hold it.  For each row and block,
+        the distance to the block's bounding box bounds its segments'
+        distances from below; the row's best block by that bound gives an
+        upper bound u on its least distance.  A block is skipped only when
+        its bound exceeds u by the margin 1e-9 (|x| + |y| + extent), where
+        extent is the largest point coordinate plus the longest segment.
+        Rounding moves every computed distance and bound by a few units of
+        2^-53 times that magnitude at most, far less than the margin, so
+        each skipped segment's rounded distance is strictly greater than the
+        row's least one.  The first segment attaining the least distance is
+        therefore always computed, and the first-index minimum over the
+        computed cells equals the dense one, ties included.
+        """
         xy = np.atleast_2d(np.asarray(xy, dtype=float))
-        # In-place (P, S) arrays per coordinate, rounded as the dense reference in the tests.
-        x, y = xy[:, :1], xy[:, 1:2]
-        px, py = self.points[:-1, 0], self.points[:-1, 1]
-        dx, dy = self.dirs[:, 0], self.dirs[:, 1]
-        t = x - px
-        t *= dx
-        ty = y - py
-        ty *= dy
-        t += ty
-        np.clip(t, 0.0, self.seg_len, out=t)
-        ex = t * dx
-        ex += px
-        ex -= x
-        ey = np.multiply(t, dy, out=ty)
-        ey += py
-        ey -= y
-        ex *= ex
-        ex += np.square(ey, out=ey)
-        dist = np.sqrt(ex, out=ex)
+        # The magnitude test keeps every square finite; NaN and inf fail it too.
+        if (len(xy) < _PRUNE_MIN_ROWS or len(self.seg_len) <= _BLOCK_SEGMENTS
+                or not np.abs(xy).max() + self._extent < 1e150):
+            return self._project_dense(xy)
+        return self._project_pruned(xy)
+
+    def _project_dense(self, xy):
+        """Every (row, segment) cell, in (P, S) arrays."""
+        t, dist = _cells(xy[:, :1], xy[:, 1:2], self.points[:-1, 0], self.points[:-1, 1],
+                         self.dirs[:, 0], self.dirs[:, 1], self.seg_len)
         best = dist.argmin(axis=1)      # on rounded distances: ties go to the lowest index
         rows = np.arange(xy.shape[0])
         return self.cum[best] + t[rows, best], dist[rows, best]
+
+    def _project_pruned(self, xy):
+        """The cells of the blocks that may hold each row's closest point.
+
+        Arrays run over rows along their last axis, so every operation
+        loops over the batch.
+        """
+        x, y = np.ascontiguousarray(xy[:, :2].T)
+        lo, hi = self._block_lo, self._block_hi
+        lb2 = lo[0] - x                 # (blocks, P) squared distance to each block's box
+        np.maximum(lb2, x - hi[0], out=lb2)
+        np.maximum(lb2, 0.0, out=lb2)
+        lb2 *= lb2
+        gy = lo[1] - y
+        np.maximum(gy, y - hi[1], out=gy)
+        np.maximum(gy, 0.0, out=gy)
+        lb2 += np.square(gy, out=gy)
+        first = lb2.argmin(axis=0)
+        dist, t, seg = self._block_min(x, y, first)
+        limit = dist + 1e-9 * (np.abs(x) + np.abs(y) + self._extent)
+        cand = lb2 <= limit * limit
+        cand[first, np.arange(len(x))] = False
+        blocks, rows = np.nonzero(cand)
+        if rows.size:
+            dk, tk, sk = self._block_min(x[rows], y[rows], blocks)
+            # First-index minimum over all computed cells: least distance, then least segment.
+            least = dist.copy()
+            np.minimum.at(least, rows, dk)
+            seg = np.where(dist == least, seg, len(self.seg_len))
+            tie = dk == least[rows]
+            np.minimum.at(seg, rows[tie], sk[tie])
+            won = tie & (sk == seg[rows])
+            t[rows[won]] = tk[won]
+            dist = least
+        return self.cum[seg] + t, dist
+
+    def _block_min(self, x, y, blocks):
+        """(distance, t, segment) of the first closest segment of block blocks[i] to row i."""
+        px, py, dx, dy, seg_len = np.split(self._block_cells[:, blocks], 5)
+        t, dist = _cells(x, y, px, py, dx, dy, seg_len)
+        j = dist.argmin(axis=0)
+        cols = np.arange(len(blocks))
+        return dist[j, cols], t[j, cols], self._block_seg[j, blocks]
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,12 @@ class TestBenchmark:
         )
         assert code == 4
 
+    def test_missing_cache_file(self, tmp_path, capsys):
+        code = run_cli("benchmark", "--model", "ungm", "--samples", "2",
+                       "--cache", str(tmp_path / "missing.json"))
+        assert code == 4
+        assert "split cache error" in capsys.readouterr().err
+
     def test_no_split_csv(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         code = run_cli(
@@ -176,8 +182,9 @@ class TestRun:
         pytest.param({"normalization": "bogus"}, id="scenario-normalization-bogus"),
         pytest.param({"max_split_dpeth": 2}, id="scenario-unknown-key"),
         pytest.param({"lam": 1.0}, id="scenario-removed-key-lam"),
+        pytest.param({"split_n": "x"}, id="scenario-split-n-not-int"),
     ])
-    def test_degenerate_engine_config_is_usage_error(self, tmp_path, flag):
+    def test_degenerate_engine_config_is_usage_error(self, tmp_path, capsys, flag):
         # A dict case sets scenario engine fields instead of command-line flags.
         fields = flag if isinstance(flag, dict) else {}
         argv = [] if isinstance(flag, dict) else flag
@@ -185,6 +192,18 @@ class TestRun:
         write_scenario(scen, horizon=0.3, **fields)
         out = tmp_path / "frames.jsonl"
         assert run_cli("run", "--scenario", str(scen), "--out", str(out), *argv) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert all(key in err for key in fields)
+
+    def test_missing_cache_file(self, tmp_path, capsys):
+        scen = tmp_path / "scenario.json"
+        write_scenario(scen, horizon=0.3)
+        out = tmp_path / "frames.jsonl"
+        code = run_cli("run", "--scenario", str(scen), "--cache", str(tmp_path / "missing.json"),
+                       "--out", str(out))
+        assert code == 4
+        assert "split cache error" in capsys.readouterr().err
         assert not out.exists()
 
     def test_dt_sets_the_bicycle_step(self, tmp_path):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from hgmm import Gaussian
 from hgmm.models import (
+    _BLOCK_SEGMENTS,
+    _PRUNE_MIN_ROWS,
     BicycleConfig,
     BicycleModel,
     Polyline,
@@ -154,6 +156,10 @@ def assert_projects_like_dense(line, xy):
     assert np.array_equal(s, s_ref) and np.array_equal(d, d_ref)
 
 
+# Batches this large take the pruned projection on polylines of two or more blocks.
+LARGE = 2 * _PRUNE_MIN_ROWS
+
+
 class TestProjectAgainstDense:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -184,6 +190,40 @@ class TestProjectAgainstDense:
         assert line.project(np.array([[0.0, 1.0]]))[0][0] == 1.0 / math.sqrt(2.0)
         xy = np.column_stack([np.zeros(2001), np.linspace(0.5, 3.0, 2001)])
         assert_projects_like_dense(line, xy)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_POLYLINES))
+    def test_large_batches(self, name):
+        line = BUILTIN_POLYLINES[name]
+        rng = np.random.default_rng(sorted(BUILTIN_POLYLINES).index(name))
+        lo, hi = line.points.min(axis=0) - 20.0, line.points.max(axis=0) + 20.0
+        assert_projects_like_dense(line, lo + rng.random((LARGE, 2)) * (hi - lo))
+        for spread in (0.3, 3.0, 30.0):
+            near = line.points[rng.integers(len(line.points), size=LARGE)]
+            assert_projects_like_dense(line, near + rng.normal(0.0, spread, near.shape))
+        assert_projects_like_dense(line, np.resize(line.points, (LARGE, 2)))
+        assert_projects_like_dense(line, np.tile([40.0, 6.0], (LARGE, 1)))
+        angle = rng.uniform(0.0, 2.0 * np.pi, LARGE)
+        far = line.points.mean(axis=0) + 1000.0 * np.column_stack([np.cos(angle), np.sin(angle)])
+        assert_projects_like_dense(line, far)
+
+    def test_large_batch_ties_across_blocks(self):
+        # The V's arms in one block each: points on its axis tie between the
+        # two blocks, as in the 2-segment V above.
+        arm = _BLOCK_SEGMENTS + 1
+        line = Polyline(np.vstack([np.linspace([-1.0, 1.0], [0.0, 0.0], arm),
+                                   np.linspace([0.0, 0.0], [1.0, 1.0], arm)[1:]]))
+        xy = np.column_stack([np.zeros(20001), np.linspace(0.5, 3.0, 20001)])
+        assert_projects_like_dense(line, xy)
+
+    def test_large_batch_long_segment_among_short_chords(self):
+        # One 40 m diagonal among 0.3 m chords: its block's box is loose, so
+        # many rows compute more than one block.
+        chords = np.arange(21)[:, None] * np.array([0.3, 0.0])
+        turn = chords[-1] + 40.0 / math.sqrt(2.0)
+        line = Polyline(np.vstack([chords, turn + np.arange(21)[:, None] * np.array([0.0, 0.3])]))
+        rng = np.random.default_rng(5)
+        lo, hi = line.points.min(axis=0) - 5.0, line.points.max(axis=0) + 5.0
+        assert_projects_like_dense(line, lo + rng.random((LARGE, 2)) * (hi - lo))
 
 
 class TestBicycle:

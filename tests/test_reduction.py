@@ -37,19 +37,29 @@ def random_mixture(rng, random_spd, m, dim=2, alphas=("a",)):
 
 
 def reference_reduce(mix: HybridMixture, cap: int) -> HybridMixture:
-    """Plain uncached O(M^3) greedy reducer that ``reduce_mixture`` must match.
+    """Plain O(M^3) greedy reducer that ``reduce_mixture`` must match.
 
     Scans pairs in ``(i, j)`` order and keeps the first strictly cheaper
     one, merges into position ``i`` and removes ``j``; when no two mixands
-    share a label it drops the lightest, lowest-index one.
+    share a label it drops the lightest, lowest-index one.  ``merge_cost``
+    is a pure function of its two mixands, so each pair is costed once; the
+    memo holds the mixands, so their ids stay unique.
     """
     mixands = list(mix.mixands)
+    memo = {}
+
+    def pair_cost(a, b):
+        key = (id(a), id(b))
+        if key not in memo:
+            memo[key] = (a, b, merge_cost(a, b))
+        return memo[key][2]
+
     while len(mixands) > cap:
         best = None
         for i in range(len(mixands)):
             for j in range(i + 1, len(mixands)):
                 if mixands[i].discrete == mixands[j].discrete:
-                    cost = merge_cost(mixands[i], mixands[j])
+                    cost = pair_cost(mixands[i], mixands[j])
                     if best is None or cost < best[0]:
                         best = (cost, i, j)
         if best is None:
@@ -249,7 +259,7 @@ class TestAgainstReference:
         second = reduce_mixture(copy.deepcopy(mix), ReductionConfig(8))
         assert mixture_bytes(second) == expected
 
-    def test_split_heavy_size_matches_reference(self, rng, random_spd, monkeypatch):
+    def test_split_heavy_size_matches_reference(self, rng, random_spd):
         # 100 mixands of one label, the children of four parents split twice
         # along two axes: mirror-image children share covariances and give
         # many bit-equal pair costs, and the cap of 4 takes 96 merges.
@@ -261,18 +271,5 @@ class TestAgainstReference:
                 mixands.extend(apply_split(child, np.eye(4)[1], split))
         mix = normalize(mixands)
         assert len(mix) == 100
-
-        # merge_cost is a pure function of its two mixands, so the reference
-        # may reuse it for pairs it has costed before; this keeps its O(M^3)
-        # scan to about a second.  Keys hold the mixands, so ids stay unique.
-        seen, cost = {}, merge_cost
-
-        def cached_cost(a, b):
-            key = (id(a), id(b))
-            if key not in seen:
-                seen[key] = (a, b, cost(a, b))
-            return seen[key][2]
-
-        monkeypatch.setitem(globals(), "merge_cost", cached_cost)
         out = reduce_mixture(mix, ReductionConfig(4))
         assert mixture_bytes(out) == mixture_bytes(reference_reduce(mix, 4))
