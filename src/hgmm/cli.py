@@ -230,7 +230,8 @@ def _flat_config(cfg: EngineConfig) -> dict:
 def _engine_config(scenario, args) -> EngineConfig:
     """The scenario's ``engine`` settings over EngineConfig's defaults, flags overriding.
 
-    Each value is coerced to its default's type, so ``"inf"`` is a valid ``e_res_max``.
+    Each value is coerced to its default's type, so ``"inf"`` is a valid ``e_res_max``;
+    a number that is not integral is rejected for an integer setting.
     """
     settings = _flat_config(EngineConfig())
     flags = {key: getattr(args, key) for key in ("e_res_max", "horizon", "dt", "max_mixands")}
@@ -239,7 +240,10 @@ def _engine_config(scenario, args) -> EngineConfig:
         if key not in settings:
             raise ValueError(f"unknown engine setting {key!r}; accepted: {', '.join(settings)}")
         try:
-            settings[key] = type(settings[key])(value)
+            kind = type(settings[key])
+            if kind is int and isinstance(value, float) and not value.is_integer():
+                raise ValueError(f"{value!r} is not an integer")
+            settings[key] = kind(value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"engine setting {key!r}: {exc}") from exc
     max_mixands = settings.pop("max_mixands")

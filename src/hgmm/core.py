@@ -38,16 +38,6 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
-def row_dots(x: np.ndarray) -> np.ndarray:
-    """Each row's dot product with itself, rounded as ``v @ v`` rounds one row.
-
-    Every row is one BLAS dot, the call ``v @ v`` and ``np.linalg.norm(v)``
-    make for a single vector; a sum along an axis rounds differently.
-    """
-    x = np.ascontiguousarray(x)
-    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
-
-
 def _as_matrix(cov) -> np.ndarray:
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     if cov.shape[-2] != cov.shape[-1]:

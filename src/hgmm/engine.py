@@ -95,6 +95,8 @@ class EngineConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if not self.e_res_max >= 0.0:
             raise ValueError(f"e_res_max must be non-negative or inf, got {self.e_res_max}")
+        if self.max_split_depth < 0:
+            raise ValueError(f"max_split_depth must be non-negative, got {self.max_split_depth}")
         if self.normalization not in ("raw", "scaled"):
             raise ValueError(f"normalization must be raw or scaled, got {self.normalization!r}")
         steps = self.horizon / self.dt

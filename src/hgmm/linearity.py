@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
-from .core import row_dots
 from .errors import DimensionMismatchError
 
 _TIE_TOL = 1e-10
@@ -48,7 +46,7 @@ class LinearityReport:
 
 def _principal_axes(moments: np.ndarray) -> np.ndarray:
     """Top eigenvector of each symmetric moment matrix of a stack, deterministically signed."""
-    evals, evecs = scipy.linalg.eigh(moments)
+    evals, evecs = np.linalg.eigh(moments)
     rows = np.arange(len(moments))
     top = evals[:, -1]
     # Candidates within tie tolerance of the top eigenvalue; prefer the one
@@ -60,7 +58,7 @@ def _principal_axes(moments: np.ndarray) -> np.ndarray:
     first = nz.argmax(axis=1)
     flip = nz[rows, first] & (axis[rows, first] < 0)
     axis[flip] = -axis[flip]
-    axis = axis / np.sqrt(row_dots(axis))[:, None]
+    axis = axis / np.linalg.norm(axis, axis=1)[:, None]
     axis[top <= 0.0] = np.eye(moments.shape[1])[0]
     return axis
 
@@ -113,9 +111,7 @@ def assess_linearity(
 
     rotated = post.swapaxes(1, 2) @ q_t                  # (M, n_x, m)
     chi_res = rotated[:, :, n_x + 1:]                    # unexplained block
-    # The norm of a whole array is one dot product, which rounds
-    # differently from a norm along an axis.
-    e_raw = np.sqrt(row_dots(chi_res.reshape(len(pre), -1)))
+    e_raw = np.linalg.norm(chi_res, axis=(1, 2))
     padded = np.concatenate([np.zeros((len(pre), n_x, n_x + 1)), chi_res], axis=2)
     point_residuals = padded @ q_t.swapaxes(1, 2)        # (M, n_x, m)
 

@@ -13,12 +13,14 @@ batched moment-matched covariances and batched log-determinants.  A
 merge writes its product into the lower slot ``i`` and retires slot ``j``,
 so the alive slots keep the input order.  Only row and column ``i`` are
 then recomputed: slot i's new moments are broadcast against its alive
-same-label partners in one batched call, with the rounding of the initial
-fill.  Each row's minimum is cached, so finding the next merge scans M
-values rather than M^2 cells; a merge rescans only the rows whose minimum
-it may have moved.  Ties go to the lowest ``(i, j)``.  The result depends
-only on the input values, never on object identity.  The matrix takes
-8 M^2 bytes: 80 KB at the 100 mixands of a split-heavy step, 115 MB at 3800.
+same-label partners in one batched call.  Each row's minimum is cached, so
+finding the next merge scans M values rather than M^2 cells; a merge
+rescans only the rows whose minimum it may have moved.  Costs within a
+relative band of the least one are tied, and ties go to the lowest
+``(i, j)``: mirror-image split children give costs that are equal in exact
+arithmetic, and the result depends neither on object identity nor on how
+their last bit rounds.  The matrix takes 8 M^2 bytes: 80 KB at the 100
+mixands of a split-heavy step, 115 MB at 3800.
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ _CHUNK = 1024
 # Cost-matrix cells handled per block when filling or rescanning rows, so
 # the temporaries stay small next to the M x M matrix itself.
 _BLOCK_CELLS = 1 << 16
+# Costs within this relative distance of the least one are tied.  A cost is
+# a difference of weighted log-determinants, so rounding moves it by a few
+# ulps of its terms, some orders of magnitude below the band; a pair
+# cheaper by more than the band is cheaper in exact arithmetic too.
+_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -91,31 +98,15 @@ def merge_cost(a: HybridMixand, b: HybridMixand) -> float:
 
 
 def _pair_costs(w, mean, cov, logdet, ia, ib) -> np.ndarray:
-    """``merge_cost`` of slot pairs ``(ia[k], ib[k])``, batched over k."""
-    out = np.empty(len(ia))
-    for s in range(0, len(ia), _CHUNK):
-        a, b = ia[s : s + _CHUNK], ib[s : s + _CHUNK]
+    """``merge_cost`` of slot pairs ``(ia[k], ib[k])``, batched over k; ``ia`` may be one slot."""
+    out = np.empty(len(ib))
+    for s in range(0, len(ib), _CHUNK):
+        a, b = ia[s : s + _CHUNK] if np.ndim(ia) else ia, ib[s : s + _CHUNK]
         wm, _, cm = _merged_moments(w[a], mean[a], cov[a], w[b], mean[b], cov[b])
         with np.errstate(invalid="ignore"):  # singular covariances: -inf + inf
             out[s : s + _CHUNK] = 0.5 * (
                 wm * np.linalg.slogdet(cm)[1] - w[a] * logdet[a] - w[b] * logdet[b]
             )
-    return _clamp(out)
-
-
-def _slot_costs(w, mean, cov, logdet, i, partners, k) -> np.ndarray:
-    """``merge_cost`` of slot ``i`` with each of the sorted ``partners``, the first ``k`` below i.
-
-    Slot i's moments are broadcast against the partners'.  A merge is
-    symmetric in its two slots, bit for bit, but the cost is not: as in
-    ``_pair_costs``, the lower slot's term is subtracted first.
-    """
-    wm, _, cm = _merged_moments(w[i], mean[i], cov[i], w[partners], mean[partners], cov[partners])
-    with np.errstate(invalid="ignore"):  # singular covariances: -inf + inf
-        merged = wm * np.linalg.slogdet(cm)[1]
-        own, theirs = w[i] * logdet[i], w[partners] * logdet[partners]
-        out = 0.5 * np.concatenate([(merged[:k] - theirs[:k]) - own,
-                                    (merged[k:] - own) - theirs[k:]])
     return _clamp(out)
 
 
@@ -148,14 +139,12 @@ def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
         ia += r0
         costs[ia, ib] = _pair_costs(w, mean, cov, logdet, ia, ib)
     # Each row's cheapest cell, so a step scans M row minima, not M^2 cells.
-    # np.argmin keeps the first of equal values: ties go to the lowest (i, j).
     best = costs.argmin(axis=1)
     row_min = costs[idx, best]
 
     for _ in range(m - cfg.max_mixands):
-        i = int(np.argmin(row_min))
-        j = int(best[i])
-        if row_min[i] == np.inf:
+        least = float(row_min.min())
+        if least == np.inf:
             # Only distinct discrete hypotheses remain; drop the lightest.
             drop = min(np.flatnonzero(alive), key=lambda k: (w[k], k))
             log.warning(
@@ -167,6 +156,11 @@ def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
             )
             alive[drop] = False
             continue
+        # The lowest (i, j) within the tie band; clamped costs tie only
+        # with equal ones, so the band cannot overflow to the empty cells.
+        band = least if least == _COST_MAX else least + _TIE_RTOL * abs(least)
+        i = int(np.argmax(row_min <= band))
+        j = int(np.argmax(costs[i] <= band))
         w[i], mean[i], cov[i] = _merged_moments(w[i], mean[i], cov[i], w[j], mean[j], cov[j])
         logdet[i] = np.linalg.slogdet(cov[i])[1]
         alive[j] = False
@@ -177,7 +171,7 @@ def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
         partners = np.flatnonzero(same)
         k = int(np.searchsorted(partners, i))
         lo, hi = partners[:k], partners[k:]
-        cost = _slot_costs(w, mean, cov, logdet, i, partners, k)
+        cost = _pair_costs(w, mean, cov, logdet, i, partners)
         costs[lo, i] = cost[:k]
         costs[i, hi] = cost[k:]
         # Rescan rows i and j, the rows whose minimum sat on slot i or j, and

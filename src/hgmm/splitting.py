@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Gaussian, HybridMixand, matrix_sqrt, row_dots, symmetrize
+from .core import Gaussian, HybridMixand, matrix_sqrt, symmetrize
 from .errors import (
     InvalidSigmaError,
     MaxIterationsError,
@@ -304,7 +304,7 @@ def _householder_to_e1(u: np.ndarray) -> np.ndarray:
     e1 = np.zeros(d)
     e1[0] = 1.0
     v = u - e1
-    nv2 = row_dots(v)
+    nv2 = np.einsum("ki,ki->k", v, v)
     tiny = nv2 < 1e-24
     r = np.eye(d) - 2.0 * (v[:, :, None] * v[:, None, :]) / np.where(tiny, 1.0, nv2)[:, None, None]
     r[tiny] = np.eye(d)
@@ -334,7 +334,7 @@ def apply_split(m, axis: np.ndarray, split: CanonicalSplit):
     children come back as a list in the same form.  A stack of K parents,
     ``(weights (K,), means (K, d), covs (K, d, d))`` with one axis per row
     of ``axis`` (K, d), is split in one pass and comes back as
-    ``SplitChildren``, every child rounded as in a split of its parent alone.
+    ``SplitChildren``.
 
     The parent covariance factor T and an orthogonal alignment R map the
     canonical frame onto the parent.  The whitened-frame direction is
@@ -358,19 +358,16 @@ def apply_split(m, axis: np.ndarray, split: CanonicalSplit):
         return [(w, Gaussian._unchecked(mu, cov))
                 for w, mu, cov in zip(out.weights.tolist(), out.means, out.covs)]
     weights, means, covs = (np.asarray(a, dtype=float) for a in m)
-    axis = axis / np.sqrt(row_dots(axis))[:, None]
-    # Each factor T in Fortran order, as SciPy returns a single one: the
-    # layout sets how T.T @ axis rounds.  ``tt`` holds T.T contiguously.
-    tt = np.ascontiguousarray(matrix_sqrt(covs).swapaxes(1, 2))
-    t = tt.swapaxes(1, 2)
+    axis = axis / np.linalg.norm(axis, axis=1)[:, None]
+    t = matrix_sqrt(covs)
     sv = np.linalg.svd(t, compute_uv=False)
     if (sv.min(axis=1) <= 1e-12 * np.maximum(sv.max(axis=1), 1e-300)).any():
         raise SingularCovarianceError("parent covariance is singular; regularize first")
     if split.n == 1:
         return SplitChildren(weights, means, covs)
     # Direction of the split axis in the whitened frame.
-    u = (tt @ axis[:, :, None])[:, :, 0]
-    u = u / np.sqrt(row_dots(u))[:, None]
+    u = np.einsum("kji,kj->ki", t, axis)
+    u = u / np.linalg.norm(u, axis=1)[:, None]
     trt = t @ _householder_to_e1(u).swapaxes(1, 2)    # canonical frame -> parent frame
     d = means.shape[1]
     canon_cov = np.eye(d)

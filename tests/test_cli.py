@@ -183,6 +183,10 @@ class TestRun:
         pytest.param({"max_split_dpeth": 2}, id="scenario-unknown-key"),
         pytest.param({"lam": 1.0}, id="scenario-removed-key-lam"),
         pytest.param({"split_n": "x"}, id="scenario-split-n-not-int"),
+        pytest.param({"max_split_depth": -1}, id="scenario-negative-depth"),
+        pytest.param({"max_split_depth": 1.5}, id="scenario-fractional-depth"),
+        pytest.param({"max_mixands": 2.5}, id="scenario-fractional-cap"),
+        pytest.param({"max_mixands": float("inf")}, id="scenario-infinite-cap"),
     ])
     def test_degenerate_engine_config_is_usage_error(self, tmp_path, capsys, flag):
         # A dict case sets scenario engine fields instead of command-line flags.

@@ -19,7 +19,7 @@ from hgmm import (
     reduce_mixture,
 )
 from hgmm.core import gaussian_logpdf
-from hgmm.reduction import _pair_costs, _slot_costs, merge_cost, merge_pair
+from hgmm.reduction import _TIE_RTOL, merge_cost, merge_pair
 
 
 def random_mixture(rng, random_spd, m, dim=2, alphas=("a",)):
@@ -39,11 +39,12 @@ def random_mixture(rng, random_spd, m, dim=2, alphas=("a",)):
 def reference_reduce(mix: HybridMixture, cap: int) -> HybridMixture:
     """Plain O(M^3) greedy reducer that ``reduce_mixture`` must match.
 
-    Scans pairs in ``(i, j)`` order and keeps the first strictly cheaper
-    one, merges into position ``i`` and removes ``j``; when no two mixands
-    share a label it drops the lightest, lowest-index one.  ``merge_cost``
-    is a pure function of its two mixands, so each pair is costed once; the
-    memo holds the mixands, so their ids stay unique.
+    Costs every same-label pair, takes the lowest ``(i, j)`` among the pairs
+    within the relative tie band of the least cost, merges into position
+    ``i`` and removes ``j``; when no two mixands share a label it drops the
+    lightest, lowest-index one.  ``merge_cost`` is a pure function of its two
+    mixands, so each pair is costed once; the memo holds the mixands, so
+    their ids stay unique.  Costs are taken to be finite.
     """
     mixands = list(mix.mixands)
     memo = {}
@@ -55,17 +56,18 @@ def reference_reduce(mix: HybridMixture, cap: int) -> HybridMixture:
         return memo[key][2]
 
     while len(mixands) > cap:
-        best = None
-        for i in range(len(mixands)):
-            for j in range(i + 1, len(mixands)):
-                if mixands[i].discrete == mixands[j].discrete:
-                    cost = pair_cost(mixands[i], mixands[j])
-                    if best is None or cost < best[0]:
-                        best = (cost, i, j)
-        if best is None:
+        costs = {
+            (i, j): pair_cost(mixands[i], mixands[j])
+            for i in range(len(mixands))
+            for j in range(i + 1, len(mixands))
+            if mixands[i].discrete == mixands[j].discrete
+        }
+        if not costs:
             mixands.pop(min(range(len(mixands)), key=lambda k: (mixands[k].weight, k)))
             continue
-        _, i, j = best
+        least = min(costs.values())
+        i, j = min(pair for pair, cost in costs.items()
+                   if cost <= least + _TIE_RTOL * abs(least))
         merged = merge_pair(mixands[i], mixands[j])
         mixands = mixands[:i] + [merged] + mixands[i + 1 : j] + mixands[j + 1 :]
     return normalize(mixands, mix.time_index)
@@ -108,27 +110,6 @@ class TestMergePair:
         g = Gaussian(np.zeros(2), np.eye(2))
         a = HybridMixand(0.5, "s", g)
         assert merge_cost(a, a) == pytest.approx(0.0, abs=1e-12)
-
-
-class TestSlotCosts:
-    @pytest.mark.parametrize("singular", [False, True])
-    def test_match_pair_costs_bit_for_bit(self, singular, rng, random_spd):
-        # A merged slot's costs must round as the initial fill's do: a
-        # last-bit difference can break an exact tie the other way.
-        m, i = 40, 17
-        w = rng.dirichlet(np.ones(m))
-        mean = rng.normal(size=(m, 3))
-        cov = np.stack([random_spd(rng, 3) for _ in range(m)])
-        if singular:
-            cov[::3] = 0.0
-        with np.errstate(divide="ignore"):
-            logdet = np.linalg.slogdet(cov)[1]
-        partners = np.flatnonzero(rng.random(m) < 0.7)
-        partners = partners[partners != i]
-        k = int(np.searchsorted(partners, i))
-        got = _slot_costs(w, mean, cov, logdet, i, partners, k)
-        want = _pair_costs(w, mean, cov, logdet, np.minimum(partners, i), np.maximum(partners, i))
-        assert got.tobytes() == want.tobytes()
 
 
 class TestReduce:
@@ -249,6 +230,24 @@ class TestAgainstReference:
         ))
         out = reduce_mixture(mix, ReductionConfig(cap))
         assert mixture_bytes(out) == mixture_bytes(reference_reduce(mix, cap))
+
+    @pytest.mark.parametrize("cheaper, merged", [
+        (1e-6, "b"),    # outside the tie band: the cheaper, higher pair wins
+        (1e-13, "a"),   # inside it: the costs tie and the lower pair wins
+    ])
+    def test_tie_band_edges(self, cheaper, merged):
+        # Two pairs of equal geometry, (0, 1) with label a and (2, 3) with
+        # label b; a pair's cost scales with its weight, so the b pair is
+        # cheaper by the relative amount ``cheaper``.
+        g0, g1 = Gaussian(np.zeros(1), np.eye(1)), Gaussian(np.ones(1), np.eye(1))
+        wb = 0.25 * (1.0 - cheaper)
+        mix = normalize([HybridMixand(0.25, "a", g0), HybridMixand(0.25, "a", g1),
+                         HybridMixand(wb, "b", g0), HybridMixand(wb, "b", g1)])
+        costs = [merge_cost(*mix.mixands[:2]), merge_cost(*mix.mixands[2:])]
+        assert costs[1] / costs[0] == pytest.approx(1.0 - cheaper, rel=1e-15)
+        out = reduce_mixture(mix, ReductionConfig(3))
+        assert out.labels.count(merged) == 1 and len(out) == 3
+        assert mixture_bytes(out) == mixture_bytes(reference_reduce(mix, 3))
 
     def test_repeat_from_deepcopy_is_byte_identical(self, rng, random_spd):
         mix = random_mixture(rng, random_spd, 60, dim=4, alphas=("a", "b", "c"))
