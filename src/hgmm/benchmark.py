@@ -58,8 +58,8 @@ def propagate_with_splits(
     lib: SplitLibrary,
     split_n: int,
     split_sigma: float,
-    e_res_max: float = 0.01,
-    max_split_depth: int = 4,
+    e_res_max: float,
+    max_split_depth: int,
 ) -> HybridMixture:
     """One adaptive step: split mixands whose raw affine residual exceeds the bound."""
     initial = HybridMixture((HybridMixand(1.0, 0, prior),))

@@ -3,9 +3,10 @@
 The continuous part of every hypothesis is a plain Gaussian; a hybrid
 mixand attaches a weight and an opaque discrete label to it; a mixture
 frame holds its mixands as stacked arrays.  All types are immutable after
-construction.  The public constructors validate what they are given;
-frames built inside the engine get one vectorised check per frame, with
-the same tolerances and error classes.
+construction.  The public constructors, and ``normalize`` given anything
+but a frame, validate what they are given, one vectorised check per frame;
+frames built inside the engine hold rows that are valid by construction
+and are not checked again.
 """
 
 from __future__ import annotations
@@ -125,12 +126,10 @@ def _stack(mixands: Sequence[HybridMixand]) -> tuple:
     )
 
 
-def _frame(weights, means, covs, labels, time_index, check=True) -> HybridMixture:
-    """Frame on arrays whose weights sum to one, its moments checked once as a whole."""
+def _frame(weights, means, covs, labels, time_index) -> HybridMixture:
+    """Frame on arrays taken as they are: the caller vouches for its rows and its weight sum."""
     if not (weights > 0).all():
         raise ValueError("mixand weights must be positive")
-    if check:
-        _check_moments(means, covs)
     for array in (weights, means, covs):
         array.setflags(write=False)
     frame = object.__new__(HybridMixture)
@@ -163,7 +162,10 @@ class HybridMixture:
         total = sum(m.weight for m in mixands)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mixand weights sum to {total}, expected 1")
-        self.__dict__.update(_frame(*_stack(mixands), time_index).__dict__, mixands=mixands)
+        weights, means, covs, labels = _stack(mixands)
+        _check_moments(means, covs)
+        self.__dict__.update(_frame(weights, means, covs, labels, time_index).__dict__,
+                             mixands=mixands)
 
     @cached_property
     def mixands(self) -> tuple:
@@ -178,13 +180,7 @@ class HybridMixture:
         return len(self.labels)
 
 
-def normalize(
-    mixands,
-    time_index: int = 0,
-    weight_floor: float = 0.0,
-    *,
-    check: bool = True,
-) -> HybridMixture:
+def normalize(mixands, time_index: int = 0, weight_floor: float = 0.0) -> HybridMixture:
     """Rescale weights to sum to one, optionally dropping negligible mixands.
 
     ``mixands`` is a ``HybridMixture``, an iterable of ``HybridMixand``, or
@@ -193,10 +189,9 @@ def normalize(
     the first normalization pass are removed and weights renormalized.  A
     frame that this leaves unchanged is returned as it is.
 
-    The means and covariances of a tuple are checked like ``Gaussian``'s;
-    ``check=False`` skips that for rows taken from, or moment-matched
-    within, a frame that was checked already.  A frame's rows are never
-    checked again.
+    Mixands and tuples enter here, so their means and covariances are
+    checked like ``Gaussian``'s, once for the whole frame.  A frame's rows
+    are not checked again.
     """
     frame = mixands if isinstance(mixands, HybridMixture) else None
     if frame is not None:
@@ -209,6 +204,7 @@ def normalize(
             raise EmptyMixtureError("cannot normalize an empty mixand list")
         weights, means, covs = (np.array(a, dtype=float) for a in mixands[:3])
         labels = mixands[3]
+        _check_moments(means, covs)
     # Totals are summed left to right, as Python's sum does, so no weight
     # depends on NumPy's pairwise summation order.
     total = sum(weights.tolist())
@@ -232,7 +228,7 @@ def normalize(
     if (frame is not None and time_index == frame.time_index
             and len(weights) == len(frame) and (weights == frame.weights).all()):
         return frame
-    return _frame(weights, means, covs, labels, time_index, check=check and frame is None)
+    return _frame(weights, means, covs, labels, time_index)
 
 
 @dataclass(frozen=True)

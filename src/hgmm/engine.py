@@ -24,6 +24,7 @@ from .core import (
     HybridMixture,
     ProcessNoise,
     WEIGHT_FLOOR,
+    _frame,
     normalize,
 )
 from .errors import ModelEvaluationFailure, NoSuccessorError
@@ -45,6 +46,9 @@ class DynamicsModel(ABC):
 
     n_x: int
     n_v: int
+    # The model's own time step, which ``anticipate`` requires to equal
+    # ``EngineConfig.dt``; None when it has none.
+    dt: float | None = None
 
     @property
     @abstractmethod
@@ -112,7 +116,9 @@ def step_discrete(mix: HybridMixture, model: DynamicsModel) -> HybridMixture:
     """Fan each mixand out over its possible next discrete states.
 
     A mixand leaves its state when ``transition_mask`` flags its mean; the
-    means of all mixands with one label go through one call.
+    means of all mixands with one label go through one call.  The fan-out
+    is not renormalized (successor probabilities sum to 1 within 1e-9), and
+    ``mix`` itself is returned when no mixand changes.
     """
     moved = np.zeros(len(mix), dtype=bool)
     succ = {}
@@ -134,9 +140,8 @@ def step_discrete(mix: HybridMixture, model: DynamicsModel) -> HybridMixture:
             out.append((i, w, alpha))
     rows, weights, labels = map(list, zip(*out))
     if weights == mix.weights.tolist() and labels == list(mix.labels):
-        return normalize(mix, mix.time_index)   # every move kept its label: keep the frame
-    return normalize((weights, mix.means[rows], mix.covs[rows], labels), mix.time_index,
-                     check=False)
+        return mix      # every move kept its label: keep the frame
+    return _frame(np.array(weights), mix.means[rows], mix.covs[rows], labels, mix.time_index)
 
 
 def step_continuous(
@@ -153,6 +158,9 @@ def step_continuous(
     depth.  Each mixand carries its path, its input index followed by its
     child indices; the output is sorted by path, which keeps the order of
     the input mixands and of their children.
+
+    Splits conserve weight and ``recombine`` makes valid rows from finite
+    points, so the output frame is neither renormalized nor checked.
     """
     assess = lib is not None and math.isfinite(cfg.e_res_max)
     index: dict = {}    # label -> code; ``names`` maps a code back to its label
@@ -212,7 +220,7 @@ def step_continuous(
         order = np.lexsort(paths.T[::-1])
         weights, code, means, covs = weights[order], code[order], means[order], covs[order]
     labels = [names[c] for c in code.tolist()]
-    return normalize((weights, means, covs, labels), mix.time_index + 1)
+    return _frame(weights, means, covs, labels, mix.time_index + 1)
 
 
 def anticipate(
@@ -224,11 +232,16 @@ def anticipate(
 ) -> list:
     """Run the full pipeline for horizon/dt steps; returns one frame per step.
 
-    Propagation is sequential.  ``threads`` only accepts 1; it remains for
-    callers that still pass it (``perfbench/workloads.py``).
+    A model's own ``dt``, if any, must equal ``cfg.dt``.  Each step
+    renormalizes once, with the weight floor.  Propagation is sequential.
+    ``threads`` only accepts 1; it remains for callers that still pass it
+    (``perfbench/workloads.py``).
     """
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads}")
+    if model.dt is not None and model.dt != cfg.dt:
+        raise ValueError(f"model steps {model.dt} s but the engine steps {cfg.dt} s; "
+                         "build the model with the engine's dt")
     frames = []
     current = initial
     for _ in range(cfg.n_steps):

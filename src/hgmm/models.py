@@ -397,6 +397,11 @@ class BicycleModel(DynamicsModel):
         self._seg_lines = {s: Polyline(seg.centerline) for s, seg in network.segments.items()}
         self._routes = {s: Polyline(self._route_points(s)) for s in network.segments}
 
+    @property
+    def dt(self) -> float:
+        """The integration step, ``config.dt``."""
+        return self.config.dt
+
     def _route_points(self, seg_id: str) -> np.ndarray:
         """Segment centerline chained through first successors, plus a straight tail."""
         pts = [self.network.segments[seg_id].centerline]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Gaussian, HybridMixand, HybridMixture, normalize
+from .core import Gaussian, HybridMixand, HybridMixture, _frame, normalize
 
 log = logging.getLogger(__name__)
 
@@ -186,4 +186,6 @@ def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
             best[rows] = scan.argmin(axis=1)
             row_min[rows] = scan.min(axis=1)
     labels = tuple(alpha for alpha, keep in zip(mix.labels, alive) if keep)
-    return normalize((w[alive], mean[alive], cov[alive], labels), mix.time_index, check=False)
+    # Merges keep the total weight; dropped hypotheses do not.
+    return normalize(_frame(w[alive], mean[alive], cov[alive], labels, mix.time_index),
+                     mix.time_index)

@@ -140,8 +140,9 @@ def recombine(points: np.ndarray, w: RecombinationWeights):
 
     A stack of M point sets (M, count, n) gives a ``(means, covs)`` pair of
     (M, n) and (M, n, n) arrays instead.  Each covariance is symmetrized
-    and its negative eigenvalues clipped, so the result skips
-    ``Gaussian``'s check; a frame built from it gets one.
+    and its negative eigenvalues clipped, so the result is valid by
+    construction: neither the ``Gaussian`` nor a frame built from it is
+    checked again.
     """
     points = np.asarray(points, dtype=float)
     if points.shape[-2] != w.mean_weights.shape[0]:

@@ -345,29 +345,32 @@ def apply_split(m, axis: np.ndarray, split: CanonicalSplit):
 
     since cov_child = cov - (1 - sigma^2) (cov @ axis)(cov @ axis).T
     / (axis.T @ cov @ axis).  The child means fan out along cov @ axis.
+    A parent with no variance along its axis raises
+    ``SingularCovarianceError``; a singular one splits along its range.
     """
     if isinstance(m, HybridMixand):
         children = apply_split((m.weight, m.gaussian), axis, split)
         return [HybridMixand(w, m.discrete, g) for w, g in children]
     axis = np.asarray(axis, dtype=float)
     if axis.ndim == 1:
-        weight, g = m
-        out = apply_split((np.array([weight]), g.mean[None], g.cov[None]), axis[None], split)
         if split.n == 1:
             return [m]
+        weight, g = m
+        out = apply_split((np.array([weight]), g.mean[None], g.cov[None]), axis[None], split)
         return [(w, Gaussian._unchecked(mu, cov))
                 for w, mu, cov in zip(out.weights.tolist(), out.means, out.covs)]
     weights, means, covs = (np.asarray(a, dtype=float) for a in m)
-    axis = axis / np.linalg.norm(axis, axis=1)[:, None]
-    t = matrix_sqrt(covs)
-    sv = np.linalg.svd(t, compute_uv=False)
-    if (sv.min(axis=1) <= 1e-12 * np.maximum(sv.max(axis=1), 1e-300)).any():
-        raise SingularCovarianceError("parent covariance is singular; regularize first")
     if split.n == 1:
         return SplitChildren(weights, means, covs)
-    # Direction of the split axis in the whitened frame.
+    axis = axis / np.linalg.norm(axis, axis=1)[:, None]
+    t = matrix_sqrt(covs)
+    # Direction of the split axis in the whitened frame; its squared norm is
+    # the parent's variance along the axis.
     u = np.einsum("kji,kj->ki", t, axis)
-    u = u / np.linalg.norm(u, axis=1)[:, None]
+    norm = np.linalg.norm(u, axis=1)
+    if not (norm > 0.0).all():
+        raise SingularCovarianceError("parent covariance has no variance along the split axis")
+    u = u / norm[:, None]
     trt = t @ _householder_to_e1(u).swapaxes(1, 2)    # canonical frame -> parent frame
     d = means.shape[1]
     canon_cov = np.eye(d)

@@ -30,7 +30,13 @@ from hgmm import (
 from hgmm.core import matrix_sqrt, normalize, symmetrize
 from hgmm.errors import ModelEvaluationFailure, NoSuccessorError
 from hgmm.evaluation import default_grid, mixture_pdf_points, numerical_kld
-from hgmm.models import BicycleModel, UngmModel, builtin_network, ungm_truth_density
+from hgmm.models import (
+    BicycleConfig,
+    BicycleModel,
+    UngmModel,
+    builtin_network,
+    ungm_truth_density,
+)
 from hgmm.sigma import RecombinationWeights
 from hgmm.splitting import apply_split
 
@@ -177,7 +183,8 @@ class CurvedModel(LinearModel):
         return super().f_c_batch(alpha_next, xs, vs) + 0.1 * xs[:, :1] ** 2
 
 
-BICYCLES = {name: BicycleModel(builtin_network(name)) for name in ("turn", "intersection")}
+BICYCLES = {name: BicycleModel(builtin_network(name))
+            for name in ("straight", "turn", "intersection")}
 # Noise-free, so its sigma-point sets have no noise block (n_v = 0).  It is
 # mildly nonlinear, so an affine fit leaves a residual far above rounding
 # and every split decision and split axis is set by the model, not by noise.
@@ -368,7 +375,7 @@ class TestLevelSynchronousStep:
 
 
 class TestMomentChecks:
-    """Rows are checked where they enter a frame, not again downstream."""
+    """Rows are checked where they enter the system, never inside ``anticipate``."""
 
     @pytest.fixture
     def checks(self, monkeypatch):
@@ -378,17 +385,22 @@ class TestMomentChecks:
                             lambda mean, cov: calls.append(len(mean)) or real(mean, cov))
         return calls
 
-    def test_one_check_per_anticipate_step(self, checks, lib):
+    def test_no_check_and_one_normalize_per_anticipate_step(self, checks, lib, monkeypatch):
         # Wide prior before the junction, cap 4: every step splits and merges,
-        # some fan out, and step 1 checks its 25 split children once.
+        # and some fan out.
         prior = single(Gaussian(np.array([36.0, 0.0, 9.0, 0.0]), np.diag([2.0, 2.0, 2.0, 0.1])),
                        alpha="approach")
         cfg = EngineConfig(e_res_max=0.05, max_split_depth=2, reduction=ReductionConfig(4),
                            normalization="raw", horizon=1.0)
+        normalized = []
+        real = hgmm.engine.normalize
+        monkeypatch.setattr(hgmm.engine, "normalize",
+                            lambda *args, **kw: normalized.append(1) or real(*args, **kw))
         checks.clear()
         frames = anticipate(prior, BICYCLES["intersection"], cfg, lib)
         assert len(set(frames[-1].labels)) > 1 and len(frames[-1]) == 4
-        assert len(checks) == cfg.n_steps and checks[0] == 25
+        assert checks == []
+        assert len(normalized) == cfg.n_steps == 10
 
     def test_rows_of_a_checked_frame_are_not_checked_again(self, checks):
         model = LinearModel(np.eye(1), routing={"a": [("b", 0.5), ("c", 0.5)]})
@@ -439,6 +451,16 @@ class TestAnticipate:
         assert EngineConfig(e_res_max=0.0).e_res_max == 0.0
         with pytest.raises(ValueError):
             EngineConfig(normalization="bogus")
+
+    def test_model_step_must_equal_the_engine_step(self):
+        prior = single(Gaussian(np.array([20.0, 0.0, 9.0, 0.0]), np.diag([1.0, 1.0, 1.0, 0.05])),
+                       alpha="approach")
+        cfg = EngineConfig(e_res_max=np.inf, dt=0.2, horizon=0.4)
+        with pytest.raises(ValueError, match="engine steps 0.2"):
+            anticipate(prior, BICYCLES["turn"], cfg)       # the default bicycle steps 0.1 s
+        model = BicycleModel(builtin_network("turn"), BicycleConfig(dt=0.2))
+        assert model.dt == 0.2 and LinearModel(np.eye(1)).dt is None
+        assert len(anticipate(prior, model, cfg)) == 2
 
     def test_threads_other_than_one_rejected(self):
         model = LinearModel(np.eye(1))
@@ -513,3 +535,61 @@ class TestAnticipate:
 
         with pytest.raises(TypeError):
             NoDynamics()
+
+
+def fuzz_prior(rng, m, case, squash):
+    """``random_prior`` on any network, each covariance's least eigenvalue scaled by ``squash``.
+
+    The straight network reuses the turn prior on its one segment, ``main``.
+    """
+    mix = random_prior(rng, m, "turn" if case == "straight" else case)
+    labels = ["main"] * m if case == "straight" else mix.labels
+    covs = mix.covs
+    if squash < 1.0:
+        w, v = np.linalg.eigh(covs)
+        w[:, 0] *= squash
+        covs = symmetrize((v * w[:, None, :]) @ v.swapaxes(1, 2))
+    return normalize((mix.weights, mix.means, covs, labels))
+
+
+class TestAnticipateInvariants:
+    """Every frame ``anticipate`` returns is valid, with no check inside the pipeline."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=st.sampled_from(["straight", "turn", "intersection", "noise-free"]),
+        m=st.integers(1, 4),
+        squash=st.sampled_from([1.0, 1e-6, 1e-12]),
+        e_res_max=st.one_of(st.just(math.inf), st.floats(0.0, 0.3)),
+        cap=st.integers(1, 12),
+        depth=st.integers(0, 2),
+        split_n=st.sampled_from([3, 5, 7]),
+        normalization=st.sampled_from(["raw", "scaled"]),
+        steps=st.integers(1, 5),
+        seed=st.integers(0, 10_000),
+    )
+    @example(case="intersection", m=4, squash=1e-12, e_res_max=0.0, cap=3, depth=2, split_n=7,
+             normalization="raw", steps=5, seed=1)
+    @example(case="noise-free", m=4, squash=1.0, e_res_max=0.0, cap=2, depth=2, split_n=5,
+             normalization="raw", steps=5, seed=5)
+    def test_frames_are_valid(self, case, m, squash, e_res_max, cap, depth, split_n,
+                              normalization, steps, seed, lib):
+        if case == "noise-free":
+            model, network_labels = NOISE_FREE, {"a", "b", "c"}
+        else:
+            model = BICYCLES[case]
+            network_labels = set(model.network.segments)
+        prior = fuzz_prior(np.random.default_rng(seed), m, case, squash)
+        cfg = EngineConfig(e_res_max=e_res_max, split_n=split_n, max_split_depth=depth,
+                           reduction=ReductionConfig(cap), normalization=normalization,
+                           horizon=0.1 * steps)
+        frames = anticipate(prior, model, cfg, lib)
+        assert [f.time_index for f in frames] == list(range(1, steps + 1))
+        for f in frames:
+            assert 1 <= len(f) <= cap and set(f.labels) <= network_labels
+            for key in ("weights", "means", "covs"):
+                assert np.isfinite(getattr(f, key)).all(), key
+            assert (f.weights > 0).all() and abs(math.fsum(f.weights) - 1.0) <= 1e-12
+            assert np.array_equal(f.covs, f.covs.swapaxes(1, 2))
+            trace = np.trace(f.covs, axis1=1, axis2=2)
+            assert (np.linalg.eigvalsh(f.covs)[:, 0] >= -1e-9 * trace).all()

@@ -83,6 +83,16 @@ class TestRecombination:
         assert g.mean[0] == pytest.approx(4.2)
         assert abs(g.cov[0, 0]) < 1e-15
 
+    def test_negative_eigenvalues_are_clipped(self):
+        # Weights from ``for_dims`` give a PSD covariance in exact arithmetic;
+        # a negative covariance weight can give an indefinite one, and only
+        # its PSD part is kept.
+        w = RecombinationWeights(np.full(3, 1 / 3), np.array([-1.0, 0.5, 0.5]))
+        pts = np.array([[0.0, 3.0], [1.0, 0.0], [-1.0, 0.0]])     # diag(1, -3) unclipped
+        assert np.allclose(recombine(pts, w).cov, np.diag([1.0, 0.0]), rtol=0, atol=1e-15)
+        _, covs = recombine(np.stack([pts, pts[:, ::-1]]), w)
+        assert np.allclose(covs, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], rtol=0, atol=1e-15)
+
     def test_unpropagated_roundtrip(self, rng, random_spd):
         g = Gaussian(rng.normal(size=3), random_spd(rng, 3))
         s = generate_sigma_points(g, NO_NOISE)

@@ -9,9 +9,9 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hgmm import Gaussian, HybridMixand, apply_split, isd_terms
+from hgmm import Gaussian, HybridMixand, HybridMixture, apply_split, isd_terms
 from hgmm.core import symmetrize
-from hgmm.errors import InvalidSigmaError
+from hgmm.errors import InvalidSigmaError, SingularCovarianceError
 from hgmm.splitting import (
     CanonicalSplit,
     SplitLibrary,
@@ -216,6 +216,25 @@ class TestApplySplit:
         for c in children:
             assert c.gaussian.mean[1] == pytest.approx(0.0, abs=1e-12)
             assert np.allclose(c.gaussian.cov, np.diag([0.25, 1.0]), atol=1e-12)
+
+    def test_singular_parent_splits_along_its_range(self, lib):
+        split = lib.get(5, 0.3)
+        parent = HybridMixand(1.0, "s", Gaussian(np.zeros(2), np.diag([2.0, 0.0])))
+        children = HybridMixture(apply_split(parent, np.array([1.0, 0.0]), split))
+        assert len(children) == 5 and children.weights.sum() == 1.0
+        assert np.array_equal(children.means[:, 0], split.offsets() * math.sqrt(2.0))
+        assert not children.means[:, 1].any()
+        assert np.allclose(children.covs, np.diag([2.0 * split.sigma**2, 0.0]), rtol=0,
+                           atol=1e-15)
+
+    def test_no_variance_along_the_axis_raises(self, lib):
+        split = lib.get(5, 0.3)
+        parent = HybridMixand(1.0, "s", Gaussian(np.zeros(2), np.diag([2.0, 0.0])))
+        with pytest.raises(SingularCovarianceError):
+            apply_split(parent, np.array([0.0, 1.0]), split)
+        stack = (np.array([0.5, 0.5]), np.zeros((2, 2)), np.stack([np.eye(2), parent.gaussian.cov]))
+        with pytest.raises(SingularCovarianceError):    # one such parent in a stack
+            apply_split(stack, np.array([[0.0, 1.0], [0.0, 1.0]]), split)
 
     def test_random_parent_isd_and_invariants(self, rng, random_spd, lib):
         split = lib.get(5, 0.3)
