@@ -233,7 +233,8 @@ def anticipate(
     """Run the full pipeline for horizon/dt steps; returns one frame per step.
 
     A model's own ``dt``, if any, must equal ``cfg.dt``.  Each step
-    renormalizes once, with the weight floor.  Propagation is sequential.
+    renormalizes with the weight floor, and once more in the reducer when
+    it shrinks the frame.  Propagation is sequential.
     ``threads`` only accepts 1; it remains for callers that still pass it
     (``perfbench/workloads.py``).
     """

@@ -8,19 +8,24 @@ labels are never merged; if the number of distinct labels alone exceeds
 the cap, the lightest hypotheses are dropped with a warning.
 
 The reducer keeps the mixands in index-keyed slots and their pair costs in
-an upper-triangular matrix over the slots, built once per call from
-batched moment-matched covariances and batched log-determinants.  A
-merge writes its product into the lower slot ``i`` and retires slot ``j``,
-so the alive slots keep the input order.  Only row and column ``i`` are
-then recomputed: slot i's new moments are broadcast against its alive
-same-label partners in one batched call.  Each row's minimum is cached, so
-finding the next merge scans M values rather than M^2 cells; a merge
-rescans only the rows whose minimum it may have moved.  Costs within a
-relative band of the least one are tied, and ties go to the lowest
-``(i, j)``: mirror-image split children give costs that are equal in exact
-arithmetic, and the result depends neither on object identity nor on how
-their last bit rounds.  The matrix takes 8 M^2 bytes: 80 KB at the 100
-mixands of a split-heavy step, 115 MB at 3800.
+a symmetric matrix over the slots.  One kernel, ``_pair_costs``, computes
+every cost: it takes the merged covariance in the uncentred form
+``f_i P_i + f_k P_k + f_i f_k d d^T`` (``f_i + f_k = 1``, ``d = mu_i -
+mu_k``), equal in exact arithmetic to the moment-matched one but needing
+neither the merged mean nor a symmetrize, and the log-determinants of a
+whole batch of pairs in one ``slogdet`` call.  The matrix is filled once
+per call.  A merge writes its product, from ``_merged_moments``, into the
+lower slot ``i`` and retires slot ``j``, so the alive slots keep the input
+order.  One kernel call then costs slot i against its alive same-label
+partners, and its ``slogdet`` call also takes slot i's new covariance.
+Each row's minimum is cached, so finding the next merge scans M values
+rather than M^2 cells; a merge rescans only the rows whose minimum sat on
+slot i or j and those whose new cell is at most their cached minimum.
+Costs within a relative band of the least one are tied, and ties go to
+the lowest ``(i, j)``: mirror-image split children give costs that are
+equal in exact arithmetic, and the result depends neither on object
+identity nor on how their last bit rounds.  The matrix takes 8 M^2 bytes:
+80 KB at the 100 mixands of a split-heavy step, 115 MB at 3800.
 """
 
 from __future__ import annotations
@@ -38,9 +43,11 @@ log = logging.getLogger(__name__)
 # here, so such pairs merge after every finite pair instead of passing for
 # cells that hold no pair, which stay at +inf.
 _COST_MAX = np.finfo(float).max
-# Pair costs computed per batched call.  Bounds the memory held by the
-# stacked candidate covariances; at 1024 pairs (128 KiB per stacked array)
-# it was also faster than larger batches on 4x4 covariances.
+# Pair costs computed per batched call when filling the matrix.  Bounds the
+# memory held by the stacked covariances (128 KiB per 4x4 stack).  Filling
+# 100 mixands of one label with 4x4 covariances took a median 2.4-2.7 ms at
+# 256, 512 and 1024 pairs per call, equal within the run-to-run spread, and
+# 3.2-3.3 ms at 2048 and 4096 (2-core host).
 _CHUNK = 1024
 # Cost-matrix cells handled per block when filling or rescanning rows, so
 # the temporaries stay small next to the M x M matrix itself.
@@ -97,17 +104,31 @@ def merge_cost(a: HybridMixand, b: HybridMixand) -> float:
     return 0.5 * ((a.weight + b.weight) * ld_ab - a.weight * ld_a - b.weight * ld_b)
 
 
-def _pair_costs(w, mean, cov, logdet, ia, ib) -> np.ndarray:
-    """``merge_cost`` of slot pairs ``(ia[k], ib[k])``, batched over k; ``ia`` may be one slot."""
-    out = np.empty(len(ib))
-    for s in range(0, len(ib), _CHUNK):
-        a, b = ia[s : s + _CHUNK] if np.ndim(ia) else ia, ib[s : s + _CHUNK]
-        wm, _, cm = _merged_moments(w[a], mean[a], cov[a], w[b], mean[b], cov[b])
-        with np.errstate(invalid="ignore"):  # singular covariances: -inf + inf
-            out[s : s + _CHUNK] = 0.5 * (
-                wm * np.linalg.slogdet(cm)[1] - w[a] * logdet[a] - w[b] * logdet[b]
-            )
-    return _clamp(out)
+def _pair_costs(wa, ma, ca, lda, wb, mb, cb, ldb):
+    """``merge_cost`` of pairs ``(a_k, b_k)``, batched over k.
+
+    Each side gives weights (K,), means (K, n), covariances (K, n, n) and
+    log-determinants (K,); side a may be one mixand, broadcast.  The
+    merged covariance is taken in the uncentred form ``f_a P_a + f_b P_b +
+    f_a f_b d d^T`` (``f = w / (w_a + w_b)``, ``d = mu_a - mu_b``), equal in
+    exact arithmetic to ``_merged_moments``' and cheaper; the cost is
+    symmetric in its two sides, bit for bit.  Returns the costs and
+    ``lda``; with ``lda`` None, side a is one slot whose log-det is taken
+    in the same ``slogdet`` call and returned.
+    """
+    w = wa + wb
+    fa, fb = wa / w, wb / w
+    d = ma - mb
+    sigma = (fa[..., None, None] * ca + fb[..., None, None] * cb
+             + (fa * fb)[..., None, None] * (d[..., :, None] * d[..., None, :]))
+    if lda is None:
+        logdet = np.linalg.slogdet(np.concatenate((ca[None], sigma)))[1]
+        lda, logdet = logdet[0], logdet[1:]
+    else:
+        logdet = np.linalg.slogdet(sigma)[1]
+    with np.errstate(invalid="ignore"):  # singular covariances: -inf + inf
+        costs = 0.5 * (w * logdet - (wa * lda + wb * ldb))
+    return _clamp(costs), lda
 
 
 def _clamp(costs: np.ndarray) -> np.ndarray:
@@ -128,8 +149,8 @@ def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
     label = np.array([codes.setdefault(alpha, len(codes)) for alpha in mix.labels])
     alive = np.ones(m, dtype=bool)
 
-    # costs[i, j] (i < j, same label) is the cost of merging slots i and j;
-    # every other cell is +inf.
+    # costs[i, j] = costs[j, i] is the cost of merging slots i and j of one
+    # label; every other cell, the diagonal too, is +inf.
     costs = np.full((m, m), np.inf)
     idx = np.arange(m)
     block = max(1, _BLOCK_CELLS // m)
@@ -137,7 +158,10 @@ def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
         rows = idx[r0 : r0 + block, None]
         ia, ib = np.nonzero((label[rows] == label) & (rows < idx))
         ia += r0
-        costs[ia, ib] = _pair_costs(w, mean, cov, logdet, ia, ib)
+        for s in range(0, len(ia), _CHUNK):
+            a, b = ia[s : s + _CHUNK], ib[s : s + _CHUNK]
+            costs[a, b] = costs[b, a] = _pair_costs(
+                w[a], mean[a], cov[a], logdet[a], w[b], mean[b], cov[b], logdet[b])[0]
     # Each row's cheapest cell, so a step scans M row minima, not M^2 cells.
     best = costs.argmin(axis=1)
     row_min = costs[idx, best]
@@ -156,30 +180,29 @@ def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
             )
             alive[drop] = False
             continue
-        # The lowest (i, j) within the tie band; clamped costs tie only
-        # with equal ones, so the band cannot overflow to the empty cells.
+        # The lowest (i, j) within the tie band: i is the lowest slot in a
+        # tied pair, the first row whose minimum is in the band, and j its
+        # first cell in the band.  Clamped costs tie only with equal ones,
+        # so the band cannot overflow to the empty cells.
         band = least if least == _COST_MAX else least + _TIE_RTOL * abs(least)
-        i = int(np.argmax(row_min <= band))
-        j = int(np.argmax(costs[i] <= band))
+        i = int((row_min <= band).argmax())
+        row = costs[i]
+        j = int((row <= band).argmax())
         w[i], mean[i], cov[i] = _merged_moments(w[i], mean[i], cov[i], w[j], mean[j], cov[j])
-        logdet[i] = np.linalg.slogdet(cov[i])[1]
         alive[j] = False
-        costs[j] = np.inf
-        costs[:, j] = np.inf
-        same = alive & (label == label[i])
-        same[i] = False
-        partners = np.flatnonzero(same)
-        k = int(np.searchsorted(partners, i))
-        lo, hi = partners[:k], partners[k:]
-        cost = _pair_costs(w, mean, cov, logdet, i, partners)
-        costs[lo, i] = cost[:k]
-        costs[i, hi] = cost[k:]
+        costs[j] = costs[:, j] = np.inf
+        # Row i's finite cells (costs are clamped below +inf) are its alive
+        # same-label partners.
+        partners = (row < np.inf).nonzero()[0]
+        cost, logdet[i] = _pair_costs(w[i], mean[i], cov[i], None, w[partners],
+                                      mean[partners], cov[partners], logdet[partners])
+        costs[i, partners] = costs[partners, i] = cost
         # Rescan rows i and j, the rows whose minimum sat on slot i or j, and
-        # the rows above i whose new cell may be their minimum.
+        # the rows whose new cell may be their minimum.
         stale = (best == i) | (best == j)
         stale[i] = stale[j] = True
-        stale[lo] |= cost[:k] <= row_min[lo]
-        stale = np.flatnonzero(stale)
+        stale[partners[cost <= row_min[partners]]] = True
+        stale = stale.nonzero()[0]
         for r0 in range(0, len(stale), block):
             rows = stale[r0 : r0 + block]
             scan = costs[rows]

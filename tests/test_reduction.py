@@ -19,7 +19,7 @@ from hgmm import (
     reduce_mixture,
 )
 from hgmm.core import gaussian_logpdf
-from hgmm.reduction import _TIE_RTOL, merge_cost, merge_pair
+from hgmm.reduction import _TIE_RTOL, _pair_costs, merge_cost, merge_pair
 
 
 def random_mixture(rng, random_spd, m, dim=2, alphas=("a",)):
@@ -112,6 +112,43 @@ class TestMergePair:
         assert merge_cost(a, a) == pytest.approx(0.0, abs=1e-12)
 
 
+class TestPairCosts:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_merge_cost(self, dim, seed, random_spd):
+        # The kernel takes the merged covariance in the uncentred form; it
+        # must agree with the scalar reference to within rounding of the
+        # cost's terms, also for near-copies, whose costs are about zero.
+        rng = np.random.default_rng(seed)
+        mixands = list(random_mixture(rng, random_spd, 12, dim, ("a", "b", "c")).mixands)
+        for m in mixands[:4]:
+            shifted = m.gaussian.mean + 1e-7 * rng.normal(size=dim)
+            mixands.append(HybridMixand(m.weight, m.discrete, Gaussian(shifted, m.gaussian.cov)))
+        mix = normalize(mixands)
+        w, mean, cov, labels = mix.weights, mix.means, mix.covs, np.array(mix.labels)
+        logdet = np.linalg.slogdet(cov)[1]
+
+        def assert_close(cost, a, b):
+            ma, mb = mix.mixands[a], mix.mixands[b]
+            ld_ab = np.linalg.slogdet(merge_pair(ma, mb).gaussian.cov)[1]
+            terms = (w[a] + w[b]) * abs(ld_ab) + w[a] * abs(logdet[a]) + w[b] * abs(logdet[b])
+            assert abs(cost - merge_cost(ma, mb)) <= 1e-12 * terms
+
+        # The fill: a batch of slot pairs.
+        ia, ib = np.nonzero((labels[:, None] == labels) & ~np.tri(len(mix), dtype=bool))
+        costs, _ = _pair_costs(w[ia], mean[ia], cov[ia], logdet[ia],
+                               w[ib], mean[ib], cov[ib], logdet[ib])
+        for cost, a, b in zip(costs, ia, ib):
+            assert_close(cost, a, b)
+        # A merge: one slot against its partners, its log-det from the same call.
+        for a in range(len(mix)):
+            p = np.flatnonzero((labels == labels[a]) & (np.arange(len(mix)) != a))
+            costs, ld_a = _pair_costs(w[a], mean[a], cov[a], None, w[p], mean[p], cov[p], logdet[p])
+            assert ld_a == logdet[a]
+            for cost, b in zip(costs, p):
+                assert_close(cost, a, b)
+
+
 class TestReduce:
     def test_under_cap_unchanged(self, rng, random_spd):
         mix = random_mixture(rng, random_spd, 5)
@@ -170,6 +207,21 @@ class TestReduce:
         m1, c1 = mixture_moments(out)
         assert len(out) == 1
         assert np.allclose(m0, m1, atol=1e-12) and np.allclose(c0, c1, atol=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_point_mass_slot_merged_into_then_costed(self):
+        # Slots 0 and 1 are point masses: every pair cost involving one is
+        # +inf or NaN and clamps, so the finite pair (2, 3) merges first.
+        # Then slot 0 takes slot 1 and keeps a singular covariance (log-det
+        # -inf), and the fused row kernel costs it against slot 2.
+        def mixand(w, x, y, cov):
+            return HybridMixand(w, "a", Gaussian(np.array([x, y]), cov))
+
+        a, b = mixand(0.2, 0.0, 0.0, np.zeros((2, 2))), mixand(0.2, 1.0, 0.0, np.zeros((2, 2)))
+        c, d = mixand(0.3, 5.0, 5.0, np.eye(2)), mixand(0.3, 6.0, 5.0, np.eye(2))
+        out = reduce_mixture(HybridMixture((a, b, c, d)), ReductionConfig(1))
+        expected = normalize([merge_pair(merge_pair(a, b), merge_pair(c, d))])
+        assert mixture_bytes(out) == mixture_bytes(expected)
 
     def test_drops_lightest_hypothesis_when_cap_below_label_count(self, caplog):
         g = Gaussian(np.zeros(1), np.eye(1))
@@ -248,6 +300,55 @@ class TestAgainstReference:
         out = reduce_mixture(mix, ReductionConfig(3))
         assert out.labels.count(merged) == 1 and len(out) == 3
         assert mixture_bytes(out) == mixture_bytes(reference_reduce(mix, 3))
+
+    def test_new_cell_below_a_lower_rows_minimum(self):
+        # Merging (2, 3) into slot 2 gives cell (0, 2) a cost of 0.285, below
+        # row 0's cached minimum of 0.316 (cell (0, 1)), and it is the next
+        # merge.  Unless row 0 is rescanned, the pair is found through row 2
+        # alone and merges into slot 2 instead of slot 0.
+        rows = [
+            (0.1785, [-0.765, 1.182], [[1.542, 1.134], [1.134, 1.145]]),
+            (0.257, [-1.931, 0.764], [[0.109, -0.035], [-0.035, 0.227]]),
+            (0.06, [0.496, -2.537], [[0.582, 0.036], [0.036, 0.309]]),
+            (0.1554, [0.885, 0.411], [[1.596, -2.305], [-2.305, 3.872]]),
+            (0.3492, [3.865, 2.167], [[0.899, 0.957], [0.957, 1.489]]),
+        ]
+        mix = normalize([HybridMixand(w, "a", Gaussian(np.array(m), np.array(c)))
+                         for w, m, c in rows])
+        out = reduce_mixture(mix, ReductionConfig(3))
+        assert mixture_bytes(out) == mixture_bytes(reference_reduce(mix, 3))
+
+    def test_split_heavy_three_labels_then_drop_matches_reference(self, rng, random_spd):
+        # The split-heavy shape over three labels (parents a, b, c, a): at cap
+        # 2 merges run until each label holds one mixand, then the drop path
+        # removes the lightest.
+        split = default_library().get(5, 0.3)
+        mixands = []
+        for alpha in "abca":
+            parent = HybridMixand(0.25, alpha, Gaussian(rng.normal(size=4), random_spd(rng, 4)))
+            for child in apply_split(parent, np.eye(4)[0], split):
+                mixands.extend(apply_split(child, np.eye(4)[1], split))
+        mix = normalize(mixands)
+        out = reduce_mixture(mix, ReductionConfig(2))
+        assert len(out) == 2 and len(set(out.labels)) == 2
+        assert mixture_bytes(out) == mixture_bytes(reference_reduce(mix, 2))
+
+    @pytest.mark.parametrize("cheaper, kept", [
+        (1e-6, 1.0),    # outside the band: the cheaper, later cell (0, 2) wins
+        (1e-13, -1.0),  # inside it: the cells tie and the first, (0, 1), wins
+    ])
+    def test_tie_band_edges_within_a_row(self, cheaper, kept):
+        # Slot 0 has mirror-image partners, slot 1 at +1 and slot 2 at -1;
+        # slot 2 is lighter, so its pair with slot 0 is the cheaper.
+        def mixand(w, x):
+            return HybridMixand(w, "a", Gaussian(np.array([x]), np.eye(1)))
+
+        mix = normalize([mixand(0.4, 0.0), mixand(0.3, 1.0), mixand(0.3 * (1.0 - cheaper), -1.0)])
+        a, b, c = mix.mixands
+        assert 1.0 - merge_cost(a, c) / merge_cost(a, b) == pytest.approx(cheaper, rel=0.5)
+        out = reduce_mixture(mix, ReductionConfig(2))
+        assert out.means[1, 0] == kept
+        assert mixture_bytes(out) == mixture_bytes(reference_reduce(mix, 2))
 
     def test_repeat_from_deepcopy_is_byte_identical(self, rng, random_spd):
         mix = random_mixture(rng, random_spd, 60, dim=4, alphas=("a", "b", "c"))
