@@ -238,6 +238,8 @@ class ProcessNoise:
     cov: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     # matrix_sqrt(cov), computed once for every sigma-point set that uses it.
     sqrt: np.ndarray = field(init=False, repr=False, compare=False)
+    # Sigma-set noise blocks by (n_x, gamma), each built once by ``sigma_rows``.
+    _sigma_rows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         cov = np.asarray(self.cov, dtype=float)
@@ -260,26 +262,55 @@ class ProcessNoise:
     def dim(self) -> int:
         return self.cov.shape[0]
 
+    def sigma_rows(self, n_x: int, gamma: float) -> np.ndarray:
+        """Read-only noise block, (1 + 2 (n_x + dim), dim), of a sigma-point set.
+
+        Zero on the center row and the 2 n_x state rows, then +gamma and
+        -gamma times the columns of ``sqrt``.
+        """
+        rows = self._sigma_rows.get((n_x, gamma))
+        if rows is None:
+            rows = np.zeros((1 + 2 * (n_x + self.dim), self.dim))
+            if self.dim > 0:
+                spread = gamma * self.sqrt.T
+                rows[1 + 2 * n_x :] = np.vstack([spread, -spread])
+            rows.setflags(write=False)
+            if len(self._sigma_rows) < 64:     # a caller sweeping lambda gets no unbounded cache
+                self._sigma_rows[n_x, gamma] = rows
+        return rows
+
 
 def matrix_sqrt(cov: np.ndarray) -> np.ndarray:
     """Lower-triangular-preferred square root S with S @ S.T == cov.
 
     Cholesky when the matrix is positive definite; otherwise an
     eigen-decomposition with small negative eigenvalues clamped to zero.
-    A stack (M, n, n) gets one symmetry check and one Cholesky for all
-    matrices; if that fails, each matrix is taken on its own, so only the
-    ones that are not positive definite use the eigen path.
+    The input is checked first: a non-finite entry raises
+    ``NonFiniteValueError`` and an asymmetry beyond tolerance
+    ``NotSymmetricError``.  A stack (M, n, n) gets one check and one
+    Cholesky for all matrices; if that fails, each matrix is taken on its
+    own, so only the ones that are not positive definite use the eigen path.
     """
     cov = _as_matrix(cov)
     if cov.shape[-1] == 0:
         return cov.copy()
     _check_symmetric(cov)
+    return _factor(cov)
+
+
+def _factor(cov: np.ndarray) -> np.ndarray:
+    """``matrix_sqrt`` of a finite, symmetric-within-tolerance matrix or stack, unchecked.
+
+    The engine factors its own covariances here: they were checked where
+    they entered, or made symmetric by the step that built them.  The
+    symmetric part is factored, so the result is ``matrix_sqrt``'s bit for bit.
+    """
     sym = symmetrize(cov)
     try:
         return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
         if sym.ndim > 2:
-            return np.stack([matrix_sqrt(m) for m in sym])
+            return np.stack([_factor(m) for m in sym])
     w, v = eigh(sym)
     tr = max(np.trace(sym), 0.0)
     if w.min() < -_EIG_RTOL * max(tr, 1e-300):

@@ -15,7 +15,7 @@ import itertools
 import logging
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .core import (
 from .errors import ModelEvaluationFailure, NoSuccessorError
 from .linearity import _principal_axes, assess_linearity
 from .reduction import ReductionConfig, reduce_mixture
-from .sigma import generate_sigma_points, propagate_points, recombine
+from .sigma import SigmaSet, generate_sigma_points, propagate_points, recombine
 from .splitting import SplitLibrary, apply_split
 
 log = logging.getLogger(__name__)
@@ -172,10 +172,14 @@ def step_continuous(
     for depth in itertools.count():
         sigma_set = generate_sigma_points((means, covs), model.process_noise)
         propagated = np.empty(sigma_set.state_points.shape)
-        for c in dict.fromkeys(code.tolist()):
-            rows = np.flatnonzero(code == c)
-            subset = replace(sigma_set, state_points=sigma_set.state_points[rows],
-                             noise_points=sigma_set.noise_points[rows])
+        level_codes = dict.fromkeys(code.tolist())
+        for c in level_codes:
+            if len(level_codes) == 1:
+                rows, subset = slice(None), sigma_set
+            else:
+                rows = np.flatnonzero(code == c)
+                subset = SigmaSet(sigma_set.state_points[rows], sigma_set.noise_points[rows],
+                                  sigma_set.lam, sigma_set.gamma)
             try:
                 propagated[rows] = propagate_points(subset, names[c], model.f_c_batch)
             except ModelEvaluationFailure as exc:

@@ -273,8 +273,11 @@ class Polyline:
         self._extent = float(np.abs(self.points).max() + self.seg_len.max())
 
     def point_at(self, s):
-        s = np.clip(np.atleast_1d(np.asarray(s, dtype=float)), 0.0, self.length)
-        idx = np.clip(np.searchsorted(self.cum, s, side="right") - 1, 0, len(self.seg_len) - 1)
+        # np.clip's result bit for bit, signed zeros included, without its
+        # dispatch cost on small batches.
+        s = np.minimum(self.length, np.maximum(0.0, np.atleast_1d(np.asarray(s, dtype=float))))
+        idx = np.minimum(len(self.seg_len) - 1,
+                         np.maximum(0, np.searchsorted(self.cum, s, side="right") - 1))
         local = s - self.cum[idx]
         return self.points[idx] + self.dirs[idx] * local[:, None]
 
@@ -455,12 +458,13 @@ class BicycleModel(DynamicsModel):
         s, d = route.project(xs[:, :2])
         target = route.point_at(s + cfg.lookahead)
         dxy = target - xs[:, :2]
-        dist = np.maximum(np.linalg.norm(dxy, axis=1), 1e-6)
+        # np.linalg.norm's and np.clip's results bit for bit (as in `Polyline.point_at`).
+        dist = np.maximum(np.sqrt(np.add.reduce(dxy * dxy, axis=1)), 1e-6)
         bearing = np.arctan2(dxy[:, 1], dxy[:, 0])
         err = np.arctan2(np.sin(bearing - xs[:, 3]), np.cos(bearing - xs[:, 3]))
         curvature = 2.0 * np.sin(err) / dist
-        u1 = np.clip(cfg.k_v * (cfg.v_target - xs[:, 2]), -cfg.a_max, cfg.a_max)
-        u2 = np.clip(curvature / cfg.wheel_gain, -cfg.u2_max, cfg.u2_max)
+        u1 = np.minimum(cfg.a_max, np.maximum(-cfg.a_max, cfg.k_v * (cfg.v_target - xs[:, 2])))
+        u2 = np.minimum(cfg.u2_max, np.maximum(-cfg.u2_max, curvature / cfg.wheel_gain))
         half_w = self.network.segments[alpha].half_width
         off = d > cfg.off_network_factor * half_w
         if off.any():

@@ -6,17 +6,24 @@ Noise-free models (n_v = 0) simply get no noise block.
 
 Every function also takes a stack of mixands along a leading axis: one
 set of points per mixand, built, propagated and recombined together.
+
+Nothing that is fixed for a run is rebuilt per step: the recombination
+weights are cached per (n_x, n_v, lambda), and the noise block of a set
+per (noise, n_x, gamma) on the ``ProcessNoise``.  Nothing that the engine
+made valid is checked again: covariances are factored without a symmetry
+check, and recombined ones are clipped only when a weight calls for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import eigh
 
-from .core import Gaussian, ProcessNoise, matrix_sqrt, symmetrize
+from .core import Gaussian, ProcessNoise, _factor, symmetrize
 from .errors import DimensionMismatchError, ModelEvaluationFailure, NonFiniteValueError
 
 
@@ -33,7 +40,9 @@ class RecombinationWeights:
     cov_weights: np.ndarray
 
     @staticmethod
+    @lru_cache(maxsize=64)
     def for_dims(n_x: int, n_v: int, lam: float) -> "RecombinationWeights":
+        """The standard weights, built once per (n_x, n_v, lam); the arrays are read-only."""
         n = n_x + n_v
         if lam <= -n:
             raise ValueError(f"lambda must exceed -(n_x + n_v) = {-n}")
@@ -89,7 +98,11 @@ def generate_sigma_points(
 
     ``g`` is a ``Gaussian``, or a ``(means, covs)`` pair of stacked (M, n_x)
     and (M, n_x, n_x) arrays, which gets one set per mixand from a single
-    batched square root.
+    batched square root.  The covariances are not checked for symmetry or
+    finiteness, as ``matrix_sqrt`` would: a ``Gaussian`` or a frame was
+    checked where it entered, and every covariance the engine makes is
+    symmetric by construction.  The symmetric part is factored, so one that
+    is symmetric only within tolerance gives ``matrix_sqrt``'s factor.
     """
     mean, cov = (g.mean, g.cov) if isinstance(g, Gaussian) else g
     n_x, n_v = mean.shape[-1], noise.dim
@@ -100,16 +113,12 @@ def generate_sigma_points(
         raise ValueError(f"lambda must exceed -(n_x + n_v) = {-n}")
     gamma = np.sqrt(n + lam)
     # Row 1 + j is the mean plus gamma times column j of the square root.
-    spread = gamma * matrix_sqrt(cov).swapaxes(-1, -2)
+    spread = gamma * _factor(cov).swapaxes(-1, -2)
     mean = mean[..., None, :]
     chi = np.repeat(mean, 1 + 2 * n, axis=-2)
     chi[..., 1 : 1 + 2 * n_x, :] = np.concatenate([mean + spread, mean - spread], axis=-2)
-    ups = np.zeros((1 + 2 * n, n_v))
-    if n_v > 0:
-        spread_v = gamma * noise.sqrt.T
-        ups[1 + 2 * n_x :] = np.vstack([spread_v, -spread_v])
     chi.setflags(write=False)
-    ups.setflags(write=False)
+    ups = noise.sigma_rows(n_x, gamma)
     return SigmaSet(chi, np.broadcast_to(ups, chi.shape[:-1] + (n_v,)), float(lam), float(gamma))
 
 
@@ -139,10 +148,14 @@ def recombine(points: np.ndarray, w: RecombinationWeights):
     """Weighted moment recombination of propagated points into a Gaussian.
 
     A stack of M point sets (M, count, n) gives a ``(means, covs)`` pair of
-    (M, n) and (M, n, n) arrays instead.  Each covariance is symmetrized
-    and its negative eigenvalues clipped, so the result is valid by
-    construction: neither the ``Gaussian`` nor a frame built from it is
-    checked again.
+    (M, n) and (M, n, n) arrays instead.  Each covariance is symmetrized.
+    With nonnegative covariance weights, as ``for_dims`` gives at the
+    default lambda for n_x + n_v <= 9, it is a nonnegative sum of rank-1
+    terms, PSD in exact arithmetic, and is not clipped: in fuzzed frames
+    rounding left no eigenvalue below -1e-17 times the trace.  When some
+    covariance weight is negative, each covariance's negative eigenvalues
+    are clipped.  The result is valid by construction: neither the
+    ``Gaussian`` nor a frame built from it is checked again.
     """
     points = np.asarray(points, dtype=float)
     if points.shape[-2] != w.mean_weights.shape[0]:
@@ -152,11 +165,12 @@ def recombine(points: np.ndarray, w: RecombinationWeights):
     cov = symmetrize((d * w.cov_weights[:, None]).swapaxes(-1, -2) @ d)
     if not np.isfinite(cov).all():
         raise NonFiniteValueError("recombined covariance has a non-finite entry")
-    # Clip tiny negative eigenvalues so each result is a valid covariance.
-    stack = cov.reshape((-1,) + cov.shape[-2:])
-    for i in np.flatnonzero(np.linalg.eigvalsh(stack)[:, 0] < 0.0):
-        wv, v = eigh(stack[i])
-        stack[i] = symmetrize((v * np.clip(wv, 0.0, None)) @ v.T)
+    if w.cov_weights.min() < 0.0:
+        # A negative weight can make the sum indefinite: keep its PSD part.
+        stack = cov.reshape((-1,) + cov.shape[-2:])
+        for i in np.flatnonzero(np.linalg.eigvalsh(stack)[:, 0] < 0.0):
+            wv, v = eigh(stack[i])
+            stack[i] = symmetrize((v * np.clip(wv, 0.0, None)) @ v.T)
     if points.ndim > 2:
         return mean, cov
     return Gaussian._unchecked(mean, cov)

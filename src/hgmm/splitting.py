@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Gaussian, HybridMixand, matrix_sqrt, symmetrize
+from .core import Gaussian, HybridMixand, _factor, symmetrize
 from .errors import (
     InvalidSigmaError,
     MaxIterationsError,
@@ -334,7 +334,9 @@ def apply_split(m, axis: np.ndarray, split: CanonicalSplit):
     children come back as a list in the same form.  A stack of K parents,
     ``(weights (K,), means (K, d), covs (K, d, d))`` with one axis per row
     of ``axis`` (K, d), is split in one pass and comes back as
-    ``SplitChildren``.
+    ``SplitChildren``.  Its covariances are taken as valid, as the engine's
+    are: they are factored without ``matrix_sqrt``'s finiteness and
+    symmetry check.
 
     The parent covariance factor T and an orthogonal alignment R map the
     canonical frame onto the parent.  The whitened-frame direction is
@@ -363,7 +365,7 @@ def apply_split(m, axis: np.ndarray, split: CanonicalSplit):
     if split.n == 1:
         return SplitChildren(weights, means, covs)
     axis = axis / np.linalg.norm(axis, axis=1)[:, None]
-    t = matrix_sqrt(covs)
+    t = _factor(covs)
     # Direction of the split axis in the whitened frame; its squared norm is
     # the parent's variance along the axis.
     u = np.einsum("kji,kj->ki", t, axis)

@@ -17,6 +17,7 @@ from hgmm import (
     mixture_moments,
     normalize,
 )
+from hgmm.core import _factor, symmetrize
 from hgmm.errors import (
     DimensionMismatchError,
     EmptyMixtureError,
@@ -49,6 +50,35 @@ class TestMatrixSqrt:
         a = 0.5 * (a + a.T)
         s = matrix_sqrt(a)
         assert np.linalg.norm(s @ s.T - a) / np.linalg.norm(a) < 1e-9
+
+    def test_unchecked_factor_equals_matrix_sqrt(self, rng, random_spd):
+        # The engine's factorization skips the input check; its factor must be
+        # matrix_sqrt's bit for bit, on the Cholesky and on the eigen path.
+        for n in range(1, 6):
+            singular = random_spd(rng, n)
+            singular[-1, :] = singular[:, -1] = 0.0     # PSD with a zero pivot: eigen path
+            skewed = random_spd(rng, n)
+            skewed[0, -1] += 1e-12                      # symmetric only within tolerance
+            stack = np.stack([random_spd(rng, n), singular, skewed, random_spd(rng, n)])
+            got = _factor(stack)
+            assert np.array_equal(got, matrix_sqrt(stack))
+            if n > 1:   # the symmetric part is factored, whichever triangle LAPACK reads
+                assert np.array_equal(got[2], np.linalg.cholesky(symmetrize(skewed)))
+                assert not np.array_equal(got[2], np.linalg.cholesky(skewed))
+            for matrix, factor in zip(stack, got):
+                assert np.array_equal(_factor(matrix), matrix_sqrt(matrix))
+                assert np.array_equal(factor, matrix_sqrt(matrix))
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([[1.0, 0.5], [0.1, 1.0]]), NotSymmetricError),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), NonFiniteValueError),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), NonFiniteValueError),
+    ])
+    def test_bad_input_is_rejected(self, bad, error):
+        with pytest.raises(error):
+            matrix_sqrt(bad)
+        with pytest.raises(error):
+            matrix_sqrt(np.stack([np.eye(2), bad]))
 
 
 class TestGaussianPdf:

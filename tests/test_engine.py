@@ -552,10 +552,45 @@ def fuzz_prior(rng, m, case, squash):
     return normalize((mix.weights, mix.means, covs, labels))
 
 
-class TestAnticipateInvariants:
-    """Every frame ``anticipate`` returns is valid, with no check inside the pipeline."""
+class PoisonedModel(DynamicsModel):
+    """A model whose ``call``-th ``f_c_batch`` call puts ``value`` in one entry of its output.
 
-    @settings(max_examples=200, deadline=None)
+    ``poisoned`` is the label of that call, or None while it has not happened.
+    """
+
+    def __init__(self, model, call, value, seed):
+        self.model, self.call, self.value = model, call, value
+        self.n_x, self.n_v, self.dt = model.n_x, model.n_v, model.dt
+        self.rng = np.random.default_rng(seed)
+        self.calls, self.poisoned = 0, None
+
+    @property
+    def process_noise(self):
+        return self.model.process_noise
+
+    def successor_options(self, alpha):
+        return self.model.successor_options(alpha)
+
+    def transition_mask(self, alpha, xs):
+        return self.model.transition_mask(alpha, xs)
+
+    def f_c_batch(self, alpha_next, xs, vs):
+        out = np.array(self.model.f_c_batch(alpha_next, xs, vs), dtype=float)
+        self.calls += 1
+        if self.calls == self.call:
+            out[self.rng.integers(out.shape[0]), self.rng.integers(out.shape[1])] = self.value
+            self.poisoned = alpha_next
+        return out
+
+
+class TestAnticipateInvariants:
+    """Every frame ``anticipate`` returns is valid, with no check inside the pipeline.
+
+    A model that emits a non-finite value instead makes ``anticipate`` raise
+    ``ModelEvaluationFailure`` naming the label of the failed call.
+    """
+
+    @settings(max_examples=250, deadline=None)
     @given(
         case=st.sampled_from(["straight", "turn", "intersection", "noise-free"]),
         m=st.integers(1, 4),
@@ -567,13 +602,17 @@ class TestAnticipateInvariants:
         normalization=st.sampled_from(["raw", "scaled"]),
         steps=st.integers(1, 5),
         seed=st.integers(0, 10_000),
+        poison_call=st.sampled_from([0, 0, 0, 1, 2, 7]),    # 0: a model that behaves
+        poison=st.sampled_from([np.nan, np.inf, -np.inf]),
     )
     @example(case="intersection", m=4, squash=1e-12, e_res_max=0.0, cap=3, depth=2, split_n=7,
-             normalization="raw", steps=5, seed=1)
+             normalization="raw", steps=5, seed=1, poison_call=0, poison=np.nan)
     @example(case="noise-free", m=4, squash=1.0, e_res_max=0.0, cap=2, depth=2, split_n=5,
-             normalization="raw", steps=5, seed=5)
+             normalization="raw", steps=5, seed=5, poison_call=0, poison=np.nan)
+    @example(case="intersection", m=4, squash=1.0, e_res_max=0.0, cap=3, depth=2, split_n=5,
+             normalization="raw", steps=5, seed=1, poison_call=7, poison=np.nan)
     def test_frames_are_valid(self, case, m, squash, e_res_max, cap, depth, split_n,
-                              normalization, steps, seed, lib):
+                              normalization, steps, seed, poison_call, poison, lib):
         if case == "noise-free":
             model, network_labels = NOISE_FREE, {"a", "b", "c"}
         else:
@@ -583,7 +622,15 @@ class TestAnticipateInvariants:
         cfg = EngineConfig(e_res_max=e_res_max, split_n=split_n, max_split_depth=depth,
                            reduction=ReductionConfig(cap), normalization=normalization,
                            horizon=0.1 * steps)
-        frames = anticipate(prior, model, cfg, lib)
+        if poison_call:
+            model = PoisonedModel(model, poison_call, poison, seed)
+        try:
+            frames = anticipate(prior, model, cfg, lib)
+        except ModelEvaluationFailure as exc:
+            assert poison_call and model.poisoned is not None
+            assert f"alpha={model.poisoned!r}" in str(exc) and "non-finite" in str(exc)
+            return
+        assert not poison_call or model.poisoned is None    # the run ended first
         assert [f.time_index for f in frames] == list(range(1, steps + 1))
         for f in frames:
             assert 1 <= len(f) <= cap and set(f.labels) <= network_labels

@@ -122,6 +122,17 @@ class TestPolyline:
         assert line.point_at(6.0)[0] == pytest.approx([4.0, 2.0])
         assert line.point_at(99.0)[0] == pytest.approx([4.0, 4.0])
 
+    def test_point_at_clamps_as_np_clip(self):
+        # The clamp is written without np.clip; its results, signed zeros
+        # included, must be np.clip's bit for bit.
+        line = Polyline(np.array([[-0.0, 0.0], [4.0, -0.0], [4.0, 4.0]]))
+        s = np.array([-0.0, 0.0, -1e-300, 1e-300, -3.0, 2.0, 4.0, 8.0, 8.0 + 1e-15, 99.0,
+                      np.inf, -np.inf])
+        c = np.clip(s, 0.0, line.length)
+        i = np.clip(np.searchsorted(line.cum, c, side="right") - 1, 0, len(line.seg_len) - 1)
+        want = line.points[i] + line.dirs[i] * (c - line.cum[i])[:, None]
+        assert line.point_at(s).tobytes() == want.tobytes()
+
 
 def _project_dense(self, xy):
     """Dense (P, S, 2) projection: `Polyline.project` must match it bit for bit."""

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgmm import Gaussian, ProcessNoise, NO_NOISE
+from hgmm.core import symmetrize
 from hgmm.errors import DimensionMismatchError
 from hgmm.sigma import (
     RecombinationWeights,
@@ -48,6 +49,31 @@ class TestGeneration:
         assert w.cov_weights[0] == pytest.approx(2.0)
         assert w.mean_weights[0] == pytest.approx(0.0)
         assert w.mean_weights[1:] == pytest.approx(np.full(6, 1.0 / 6.0))
+
+    def test_weights_are_built_once_and_read_only(self):
+        first = RecombinationWeights.for_dims(4, 2, -3.0)
+        again = RecombinationWeights.for_dims(4, 2, -3.0)
+        assert again is first
+        for w in (first, again):
+            for array in (w.mean_weights, w.cov_weights):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+        with pytest.raises(ValueError):
+            RecombinationWeights.for_dims(4, 2, -6.0)
+
+    def test_noise_rows_are_built_once_and_read_only(self):
+        noise = ProcessNoise(np.diag([0.25, 0.01]))
+        g = Gaussian(np.zeros(4), np.eye(4))
+        first = generate_sigma_points(g, noise)
+        again = generate_sigma_points(g, noise)
+        assert np.shares_memory(first.noise_points, again.noise_points)
+        assert not again.noise_points.flags.writeable
+        spread = first.gamma * noise.sqrt.T
+        assert np.array_equal(again.noise_points,
+                              np.vstack([np.zeros((9, 2)), spread, -spread]))
+        other = generate_sigma_points(g, noise, lam=1.0).noise_points
+        assert np.array_equal(other[9:11], math.sqrt(7.0) * noise.sqrt.T)
 
 
 class TestPropagation:
@@ -92,6 +118,28 @@ class TestRecombination:
         assert np.allclose(recombine(pts, w).cov, np.diag([1.0, 0.0]), rtol=0, atol=1e-15)
         _, covs = recombine(np.stack([pts, pts[:, ::-1]]), w)
         assert np.allclose(covs, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], rtol=0, atol=1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 6), m=st.integers(1, 4), rank=st.integers(0, 6),
+           scale=st.sampled_from([1e-6, 1.0, 1e3]), seed=st.integers(0, 10_000))
+    def test_standard_weights_give_psd_without_clipping(self, n, m, rank, scale, seed):
+        # With nonnegative covariance weights the covariance is a nonnegative
+        # sum of rank-1 terms: PSD in exact arithmetic, so nothing is clipped.
+        w = RecombinationWeights.for_dims(n, 0, default_lambda(n))
+        assert w.cov_weights.min() >= 0.0
+        rng = np.random.default_rng(seed)
+        rank = min(rank, n)     # points in a subspace of this dimension: a singular covariance
+        basis = rng.normal(size=(rank, n))
+        points = rng.normal(size=(m, 2 * n + 1, rank)) @ basis * scale + rng.normal(size=n)
+        means, covs = recombine(points, w)
+        d = points - (w.mean_weights @ points)[:, None, :]
+        unclipped = symmetrize((d * w.cov_weights[:, None]).swapaxes(1, 2) @ d)
+        assert np.array_equal(covs, unclipped)
+        assert np.array_equal(covs, covs.swapaxes(1, 2))
+        trace = np.trace(covs, axis1=1, axis2=2)
+        assert (np.linalg.eigvalsh(covs)[:, 0] >= -1e-12 * trace).all()
+        one = recombine(points[0], w)
+        assert np.array_equal(one.cov, covs[0]) and np.array_equal(one.mean, means[0])
 
     def test_unpropagated_roundtrip(self, rng, random_spd):
         g = Gaussian(rng.normal(size=3), random_spd(rng, 3))
