@@ -47,7 +47,8 @@ from .evaluation import (
 from .models import BicycleConfig, BicycleModel, RoadNetwork, builtin_network
 from .reduction import ReductionConfig
 from .serialize import to_json
-from .splitting import DEFAULT_GRID_MAX, DEFAULT_GRID_STEP, SplitLibrary, build_library
+from .splitting import (DEFAULT_GRID_MAX, DEFAULT_GRID_STEP, SplitLibrary, build_library,
+                        default_library)
 
 log = logging.getLogger(__name__)
 
@@ -274,9 +275,9 @@ def cmd_run(args, parser) -> int:
                                 int_labels=model_name in BENCHMARK_MODELS)
     except (KeyError, TypeError, ValueError) as exc:
         parser.error(str(exc))
-    lib = _load_library(args.cache) if args.cache else None
-    if args.cache and (lib is None or (np.isfinite(cfg.e_res_max) and not _has_split(
-            lib, cfg.split_n, cfg.split_sigma))):
+    lib = _load_library(args.cache) if args.cache else default_library()
+    if lib is None or (np.isfinite(cfg.e_res_max) and not _has_split(
+            lib, cfg.split_n, cfg.split_sigma)):
         return EXIT_CACHE
     seed = args.seed if args.seed is not None else int(scenario.get("seed", 0))
     timings["setup"] = time.perf_counter() - t0
@@ -302,6 +303,8 @@ def cmd_run(args, parser) -> int:
         "version": __version__,
         "seed": seed,
         "config": {"model": model_name, "network": network_name, **_flat_config(cfg)},
+        # The --cache file, hashed under "inputs", or the library this version ships.
+        "split_library": os.path.basename(args.cache) if args.cache else "shipped",
         "inputs": {
             os.path.basename(p): _sha256(p)
             for p in [args.scenario]
@@ -443,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="anticipate a scenario; write frames + manifest")
     p.add_argument("--scenario", required=True)
     p.add_argument("--network", help="builtin name or network JSON path")
-    p.add_argument("--cache", help="split library file")
+    p.add_argument("--cache", help="split library file (default: the shipped library)")
     p.add_argument("--out", required=True, help="frames JSON-Lines path")
     p.add_argument("--manifest", help="manifest path (default: <out>.manifest.json)")
     p.add_argument("--e-res-max", type=float, default=None)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -99,6 +100,9 @@ class EngineConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if not self.e_res_max >= 0.0:
             raise ValueError(f"e_res_max must be non-negative or inf, got {self.e_res_max}")
+        for name in ("split_n", "max_split_depth"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_split_depth < 0:
             raise ValueError(f"max_split_depth must be non-negative, got {self.max_split_depth}")
         if self.normalization not in ("raw", "scaled"):
@@ -117,8 +121,9 @@ def step_discrete(mix: HybridMixture, model: DynamicsModel) -> HybridMixture:
 
     A mixand leaves its state when ``transition_mask`` flags its mean; the
     means of all mixands with one label go through one call.  The fan-out
-    is not renormalized (successor probabilities sum to 1 within 1e-9), and
-    ``mix`` itself is returned when no mixand changes.
+    is not renormalized: successor probabilities must be non-negative and
+    sum to 1 within 1e-9, else ``ValueError`` names the label.  ``mix``
+    itself is returned when no mixand changes.
     """
     moved = np.zeros(len(mix), dtype=bool)
     succ = {}
@@ -129,6 +134,10 @@ def step_discrete(mix: HybridMixture, model: DynamicsModel) -> HybridMixture:
             succ[alpha] = model.successor_options(alpha)
             if not succ[alpha]:
                 raise NoSuccessorError(f"discrete state {alpha!r} has no successors")
+            for alpha_next, p in succ[alpha]:
+                if not p >= 0.0:
+                    raise ValueError(f"successor probability of {alpha!r} -> {alpha_next!r} "
+                                     f"is {p}; it must be non-negative")
             total = sum(p for _, p in succ[alpha])
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"successor probabilities of {alpha!r} sum to {total}")

@@ -8,29 +8,31 @@ labels are never merged; if the number of distinct labels alone exceeds
 the cap, the lightest hypotheses are dropped with a warning.
 
 The reducer keeps the mixands in index-keyed slots and their pair costs in
-a symmetric matrix over the slots.  One kernel, ``_pair_costs``, computes
-every cost: it takes the merged covariance in the uncentred form
+a symmetric matrix over the slots.  Every merged covariance, costed or
+stored, comes from one expression, ``_merged_cov``: the uncentred form
 ``f_i P_i + f_k P_k + f_i f_k d d^T`` (``f_i + f_k = 1``, ``d = mu_i -
-mu_k``), equal in exact arithmetic to the moment-matched one but needing
-neither the merged mean nor a symmetrize, and the log-determinants of a
-whole batch of pairs in one ``slogdet`` call.  The matrix is filled once
-per call.  A merge writes its product, from ``_merged_moments``, into the
-lower slot ``i`` and retires slot ``j``, so the alive slots keep the input
-order.  One kernel call then costs slot i against its alive same-label
-partners, and its ``slogdet`` call also takes slot i's new covariance.
-Each row's minimum is cached, so finding the next merge scans M values
-rather than M^2 cells; a merge rescans only the rows whose minimum sat on
-slot i or j and those whose new cell is at most their cached minimum.
-Costs within a relative band of the least one are tied, and ties go to
-the lowest ``(i, j)``: mirror-image split children give costs that are
-equal in exact arithmetic, and the result depends neither on object
-identity nor on how their last bit rounds.  The matrix takes 8 M^2 bytes:
-80 KB at the 100 mixands of a split-heavy step, 115 MB at 3800.
+mu_k``) of the moment-matched covariance, which needs neither the merged
+mean nor a symmetrize.  One kernel, ``_pair_costs``, computes every cost,
+with the log-determinants of a whole batch of pairs in one ``slogdet``
+call.  The matrix is filled once per call.  A merge writes its product,
+from ``_merged_moments``, into the lower slot ``i`` and retires slot
+``j``, so the alive slots keep the input order.  One kernel call then
+costs slot i against its alive same-label partners, and its ``slogdet``
+call also takes slot i's new covariance.  Each row's minimum is cached, so
+finding the next merge scans M values rather than M^2 cells; a merge
+rescans only the rows whose minimum sat on slot i or j and those whose new
+cell is at most their cached minimum.  Costs within a relative band of the
+least one are tied, and ties go to the lowest ``(i, j)``: mirror-image
+split children give costs that are equal in exact arithmetic, and the
+result depends neither on object identity nor on how their last bit
+rounds.  The matrix takes 8 M^2 bytes: 80 KB at the 100 mixands of a
+split-heavy step, 115 MB at 3800.
 """
 
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +68,22 @@ class ReductionConfig:
     max_mixands: int = 10
 
     def __post_init__(self):
+        if not isinstance(self.max_mixands, numbers.Integral):
+            raise ValueError(f"max_mixands must be an integer, got {self.max_mixands!r}")
         if self.max_mixands < 1:
             raise ValueError("max_mixands must be at least 1")
+
+
+def _merged_cov(wa, ca, wb, cb, d):
+    """Total weight and moment-matched covariance ``f_a P_a + f_b P_b + f_a f_b d d^T``.
+
+    ``f = w / (w_a + w_b)`` and ``d = mu_a - mu_b``.  Swapping the sides
+    changes no bit, and symmetric ``P_a``, ``P_b`` give an exactly symmetric sum.
+    """
+    w = wa + wb
+    fa, fb = wa / w, wb / w
+    return w, (fa[..., None, None] * ca + fb[..., None, None] * cb
+               + (fa * fb)[..., None, None] * (d[..., :, None] * d[..., None, :]))
 
 
 def _merged_moments(wa, ma, ca, wb, mb, cb):
@@ -76,14 +92,8 @@ def _merged_moments(wa, ma, ca, wb, mb, cb):
     Either side may be one component broadcast against a stack of the other.
     The merge is symmetric in its two sides, bit for bit.
     """
-    w = wa + wb
-    fa, fb = (wa / w)[..., None], (wb / w)[..., None]
-    mean = fa * ma + fb * mb
-    da, db = ma - mean, mb - mean
-    cov = fa[..., None] * (ca + da[..., :, None] * da[..., None, :]) + fb[..., None] * (
-        cb + db[..., :, None] * db[..., None, :]
-    )
-    return w, mean, 0.5 * (cov + cov.swapaxes(-1, -2))
+    w, cov = _merged_cov(wa, ca, wb, cb, ma - mb)
+    return w, (wa / w)[..., None] * ma + (wb / w)[..., None] * mb, cov
 
 
 def merge_pair(a: HybridMixand, b: HybridMixand) -> HybridMixand:
@@ -109,18 +119,12 @@ def _pair_costs(wa, ma, ca, lda, wb, mb, cb, ldb):
 
     Each side gives weights (K,), means (K, n), covariances (K, n, n) and
     log-determinants (K,); side a may be one mixand, broadcast.  The
-    merged covariance is taken in the uncentred form ``f_a P_a + f_b P_b +
-    f_a f_b d d^T`` (``f = w / (w_a + w_b)``, ``d = mu_a - mu_b``), equal in
-    exact arithmetic to ``_merged_moments``' and cheaper; the cost is
-    symmetric in its two sides, bit for bit.  Returns the costs and
-    ``lda``; with ``lda`` None, side a is one slot whose log-det is taken
-    in the same ``slogdet`` call and returned.
+    merged covariance is ``_merged_cov``'s, the one ``_merged_moments``
+    stores, and the cost is symmetric in its two sides, bit for bit.
+    Returns the costs and ``lda``; with ``lda`` None, side a is one slot
+    whose log-det is taken in the same ``slogdet`` call and returned.
     """
-    w = wa + wb
-    fa, fb = wa / w, wb / w
-    d = ma - mb
-    sigma = (fa[..., None, None] * ca + fb[..., None, None] * cb
-             + (fa * fb)[..., None, None] * (d[..., :, None] * d[..., None, :]))
+    w, sigma = _merged_cov(wa, ca, wb, cb, ma - mb)
     if lda is None:
         logdet = np.linalg.slogdet(np.concatenate((ca[None], sigma)))[1]
         lda, logdet = logdet[0], logdet[1:]

@@ -6,7 +6,9 @@ whose components share the covariance diag(sigma^2, 1, ..., 1).  For a
 given spacing the optimal weights come from a small quadratic program on
 the probability simplex; the spacing itself is found by exhaustive grid
 search.  Results are cached in a library file and applied at runtime to
-arbitrary mixands along arbitrary axes via an affine change of variables.
+arbitrary mixands along arbitrary axes in closed form: the children's means
+fan out along the parent's one-sigma step on the axis, and their shared
+covariance is a rank-1 downdate of the parent's, with no factorization.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Gaussian, HybridMixand, _factor, symmetrize
+from .core import Gaussian, HybridMixand
 from .errors import (
     InvalidSigmaError,
     MaxIterationsError,
@@ -298,19 +300,6 @@ def build_library(
     return SplitLibrary({(s.n, s.sigma): s for s in splits}, grid_step)
 
 
-def _householder_to_e1(u: np.ndarray) -> np.ndarray:
-    """Orthogonal matrices (reflections) mapping each unit row of ``u`` to e1."""
-    d = u.shape[1]
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    v = u - e1
-    nv2 = np.einsum("ki,ki->k", v, v)
-    tiny = nv2 < 1e-24
-    r = np.eye(d) - 2.0 * (v[:, :, None] * v[:, None, :]) / np.where(tiny, 1.0, nv2)[:, None, None]
-    r[tiny] = np.eye(d)
-    return r
-
-
 @dataclass(frozen=True)
 class SplitChildren:
     """The children of a stack of split parents, parent by parent.
@@ -335,20 +324,17 @@ def apply_split(m, axis: np.ndarray, split: CanonicalSplit):
     ``(weights (K,), means (K, d), covs (K, d, d))`` with one axis per row
     of ``axis`` (K, d), is split in one pass and comes back as
     ``SplitChildren``.  Its covariances are taken as valid, as the engine's
-    are: they are factored without ``matrix_sqrt``'s finiteness and
-    symmetry check.
+    are: finite and symmetric, without ``Gaussian``'s check.
 
-    The parent covariance factor T and an orthogonal alignment R map the
-    canonical frame onto the parent.  The whitened-frame direction is
-    T.T @ axis, which makes the marginal variance along ``axis`` of every
-    child exactly sigma^2 times the parent's:
-
-        axis.T @ cov_child @ axis = sigma^2 * axis.T @ cov_parent @ axis
-
-    since cov_child = cov - (1 - sigma^2) (cov @ axis)(cov @ axis).T
-    / (axis.T @ cov @ axis).  The child means fan out along cov @ axis.
-    A parent with no variance along its axis raises
-    ``SingularCovarianceError``; a singular one splits along its range.
+    The children are the canonical split carried onto the parent by any
+    factor ``T`` of its covariance ``C`` and the reflection taking ``T^T a``
+    to e1, in closed form.  With ``a`` the unit axis and ``s = C a /
+    sqrt(a^T C a)`` the parent's one-sigma step along it, child i has mean
+    ``mu + offset_i s`` and covariance ``C - (1 - sigma^2) s s^T``, whose
+    variance along ``a`` is sigma^2 times the parent's; symmetric parents
+    give exactly symmetric children.  A parent with no variance along its
+    axis raises ``SingularCovarianceError``; a singular one splits along
+    its range.
     """
     if isinstance(m, HybridMixand):
         children = apply_split((m.weight, m.gaussian), axis, split)
@@ -365,25 +351,21 @@ def apply_split(m, axis: np.ndarray, split: CanonicalSplit):
     if split.n == 1:
         return SplitChildren(weights, means, covs)
     axis = axis / np.linalg.norm(axis, axis=1)[:, None]
-    t = _factor(covs)
-    # Direction of the split axis in the whitened frame; its squared norm is
-    # the parent's variance along the axis.
-    u = np.einsum("kji,kj->ki", t, axis)
-    norm = np.linalg.norm(u, axis=1)
-    if not (norm > 0.0).all():
+    along = np.einsum("kij,kj->ki", covs, axis)
+    var = np.einsum("ki,ki->k", axis, along)
+    if not (var > 0.0).all():
         raise SingularCovarianceError("parent covariance has no variance along the split axis")
-    u = u / norm[:, None]
-    trt = t @ _householder_to_e1(u).swapaxes(1, 2)    # canonical frame -> parent frame
-    d = means.shape[1]
-    canon_cov = np.eye(d)
-    canon_cov[0, 0] = split.sigma ** 2
-    child_cov = symmetrize(trt @ canon_cov @ trt.swapaxes(1, 2))
-    child_means = split.offsets()[:, None] * trt[:, None, :, 0] + means[:, None, :]
+    # C a / var * sqrt(var), not C a / sqrt(var): on diag(2, 0) along e1,
+    # C a / var is e1 exactly and s is sqrt(2) to the last bit, where
+    # C a / sqrt(var) is 1 ulp off.
+    s = along / var[:, None] * np.sqrt(var)[:, None]
+    child_cov = covs - (1.0 - split.sigma ** 2) * (s[:, :, None] * s[:, None, :])
+    child_means = split.offsets()[:, None] * s[:, None, :] + means[:, None, :]
     child_weights = weights[:, None] * split.weights
     # Weight conservation must be exact; absorb rounding into each parent's
     # heaviest child.  Totals are summed left to right, as Python's sum does.
     total = np.cumsum(child_weights, axis=1)[:, -1]
     off = np.flatnonzero(total != weights)
     child_weights[off, child_weights[off].argmax(axis=1)] += weights[off] - total[off]
-    return SplitChildren(child_weights.ravel(), child_means.reshape(-1, d),
+    return SplitChildren(child_weights.ravel(), child_means.reshape(-1, means.shape[1]),
                          np.repeat(child_cov, split.n, axis=0))

@@ -165,6 +165,27 @@ class TestRun:
             alphas = [m["alpha"] for m in rec["mixands"]]
             assert len(alphas) == len(set(alphas))
 
+    def test_without_cache_splits_with_the_shipped_library(self, tmp_path):
+        # A finite e_res_max splits whether or not --cache is given: the
+        # scenario keeps one mixand per frame only with --e-res-max inf.
+        scen = Path(__file__).parent / "data" / "turn_scenario.json"
+        outs = {}
+        for name, argv in (("shipped", ()), ("cache", ("--cache", LIB_PATH))):
+            out = tmp_path / f"{name}.jsonl"
+            assert run_cli("run", "--scenario", str(scen), "--horizon", "1.0",
+                           "--out", str(out), *argv) == 0
+            manifest = json.loads((tmp_path / f"{name}.jsonl.manifest.json").read_text())
+            outs[manifest["split_library"]] = out.read_bytes()
+        assert set(outs) == {"shipped", "split_library.json"}
+        assert outs["shipped"] == outs["split_library.json"]
+        counts = [len(json.loads(line)["mixands"]) for line in outs["shipped"].splitlines()]
+        assert max(counts) > 1
+        out = tmp_path / "no-split.jsonl"
+        assert run_cli("run", "--scenario", str(scen), "--horizon", "1.0", "--out", str(out),
+                       "--e-res-max", "inf") == 0
+        assert all(len(json.loads(line)["mixands"]) == 1
+                   for line in out.read_text().splitlines())
+
     def test_manifest_has_no_concurrency_fields(self, tmp_path):
         scen = tmp_path / "scenario.json"
         write_scenario(scen, horizon=0.3)

@@ -256,6 +256,14 @@ class TestStepDiscrete:
         with pytest.raises(NoSuccessorError):
             step_discrete(single(Gaussian(np.zeros(1), np.eye(1))), model)
 
+    @pytest.mark.parametrize("options", [[("b", 1.5), ("c", -0.5)], [("b", 1.0), ("c", np.nan)]])
+    def test_negative_successor_probability_raises(self, options):
+        # -0.5 would be dropped as "not positive", leaving weights that sum to
+        # 1.5; a NaN would pass the sum-to-1 check, since NaN compares false.
+        model = LinearModel(np.eye(1), routing={"a": options})
+        with pytest.raises(ValueError, match=r"'a' -> 'c'"):
+            step_discrete(single(Gaussian(np.zeros(1), np.eye(1)), "a"), model)
+
 
 class TestStepContinuous:
     def test_linear_model_matches_kalman_prediction(self):
@@ -451,6 +459,13 @@ class TestAnticipate:
         assert EngineConfig(e_res_max=0.0).e_res_max == 0.0
         with pytest.raises(ValueError):
             EngineConfig(normalization="bogus")
+
+    @pytest.mark.parametrize("name", ["split_n", "max_split_depth"])
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "2"])
+    def test_integer_settings_reject_non_integers(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            EngineConfig(**{name: bad})
+        assert getattr(EngineConfig(**{name: np.int64(3)}), name) == 3
 
     def test_model_step_must_equal_the_engine_step(self):
         prior = single(Gaussian(np.array([20.0, 0.0, 9.0, 0.0]), np.diag([1.0, 1.0, 1.0, 0.05])),

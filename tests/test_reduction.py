@@ -18,8 +18,8 @@ from hgmm import (
     normalize,
     reduce_mixture,
 )
-from hgmm.core import gaussian_logpdf
-from hgmm.reduction import _TIE_RTOL, _pair_costs, merge_cost, merge_pair
+from hgmm.core import gaussian_logpdf, symmetrize
+from hgmm.reduction import _TIE_RTOL, _merged_moments, _pair_costs, merge_cost, merge_pair
 
 
 def random_mixture(rng, random_spd, m, dim=2, alphas=("a",)):
@@ -111,6 +111,31 @@ class TestMergePair:
         a = HybridMixand(0.5, "s", g)
         assert merge_cost(a, a) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_merged_moments_are_exact_in_side_order_and_symmetry(self, dim, seed, random_spd):
+        rng = np.random.default_rng(seed)
+        k = 16
+        w = rng.uniform(0.01, 1.0, size=(2, k))
+        means = rng.normal(scale=3.0, size=(2, k, dim))
+        covs = np.stack([[symmetrize(random_spd(rng, dim, 1e-3, 10.0)) for _ in range(k)]
+                         for _ in range(2)])
+        ab = _merged_moments(w[0], means[0], covs[0], w[1], means[1], covs[1])
+        ba = _merged_moments(w[1], means[1], covs[1], w[0], means[0], covs[0])
+        for x, y in zip(ab, ba):
+            assert x.tobytes() == y.tobytes()
+        _, mean, cov = ab
+        assert np.array_equal(cov, cov.swapaxes(1, 2))
+        for i in range(k):
+            pair = normalize([HybridMixand(w[s, i], "s", Gaussian(means[s, i], covs[s, i]))
+                              for s in (0, 1)])
+            want_mean, want_cov = mixture_moments(pair)
+            assert np.allclose(mean[i], want_mean, rtol=0, atol=1e-12 * np.abs(want_mean).max())
+            assert np.allclose(cov[i], want_cov, rtol=0, atol=1e-12 * np.abs(want_cov).max())
+        # One side broadcast against a stack of the other, as a merge into a slot.
+        one = _merged_moments(w[0, 0], means[0, 0], covs[0, 0], w[1], means[1], covs[1])
+        assert one[2][0].tobytes() == cov[0].tobytes()
+
 
 class TestPairCosts:
     @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -150,6 +175,12 @@ class TestPairCosts:
 
 
 class TestReduce:
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "2", 0, -1])
+    def test_config_rejects_a_cap_that_is_not_a_positive_integer(self, bad):
+        # 2.5 would otherwise fail later, with TypeError inside reduce_mixture.
+        with pytest.raises(ValueError, match="max_mixands"):
+            ReductionConfig(bad)
+
     def test_under_cap_unchanged(self, rng, random_spd):
         mix = random_mixture(rng, random_spd, 5)
         assert reduce_mixture(mix, ReductionConfig(10)) is mix

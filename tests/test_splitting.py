@@ -200,6 +200,17 @@ class TestApplySplit:
             assert [c[0] for c in pair] == w.tolist()
             assert np.allclose(np.stack([c[1].mean for c in pair]), mu, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_symmetric_parents_give_exactly_symmetric_children(self, dim, lib):
+        rng = np.random.default_rng(dim)
+        k = 25
+        a = rng.normal(size=(k, dim, dim))
+        covs = symmetrize(a @ a.swapaxes(1, 2) + 1e-3 * np.eye(dim))
+        assert np.array_equal(covs, covs.swapaxes(1, 2))
+        out = apply_split((np.full(k, 1.0 / k), rng.normal(size=(k, dim)), covs),
+                          rng.normal(size=(k, dim)), lib.get(5, 0.3))
+        assert np.array_equal(out.covs, out.covs.swapaxes(1, 2))
+
     def test_identity_split_returns_parent(self):
         parent = HybridMixand(1.0, "s", Gaussian(np.zeros(2), np.eye(2)))
         split = CanonicalSplit(1, 1.0, 0.0, np.array([1.0]), 0.0)
