@@ -22,7 +22,6 @@ from .engine import DynamicsModel, EngineConfig, anticipate, step_continuous, st
 from .linearity import LinearityReport, assess_linearity
 from .reduction import ReductionConfig, reduce_mixture
 from .sigma import (
-    RecombinationWeights,
     SigmaSet,
     default_lambda,
     generate_sigma_points,
@@ -61,7 +60,6 @@ __all__ = [
     "assess_linearity",
     "ReductionConfig",
     "reduce_mixture",
-    "RecombinationWeights",
     "SigmaSet",
     "default_lambda",
     "generate_sigma_points",

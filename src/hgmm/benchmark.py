@@ -49,7 +49,7 @@ def propagate_no_split(model, prior: Gaussian, k: int = 0):
     report = assess_linearity(
         sigma_set.state_block(), propagated[: 1 + 2 * model.n_x], normalization="raw"
     )
-    return recombine(propagated, sigma_set.weights()), report.e_res_raw
+    return recombine(propagated), report.e_res_raw
 
 
 def propagate_with_splits(

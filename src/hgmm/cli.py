@@ -6,9 +6,9 @@ protocol, ``run`` anticipates a scenario and writes JSON-Lines frames
 plus a run manifest, and ``evaluate`` scores a frames file against
 truth data.
 
-Exit codes: 0 success, 2 invalid flags, 3 optimizer failure, 4 split
-cache missing required keys, 5 model evaluation failure, 6 misaligned
-timestamps.
+Exit codes: 0 success, 2 invalid flags or an unreadable input file, 3
+optimizer failure, 4 split cache missing required keys, 5 model
+evaluation failure, 6 misaligned timestamps.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .benchmark import BENCHMARK_MODELS, run_benchmark
 from .core import Gaussian, HybridMixand, HybridMixture
 from .engine import EngineConfig, anticipate
 from .errors import (
+    HgmmError,
     MaxIterationsError,
     ModelEvaluationFailure,
     NoFrameMatchError,
@@ -74,23 +75,30 @@ def _number_list(text: str, kind) -> list:
     return [kind(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _load_library(path) -> SplitLibrary | None:
-    """The split library in ``path``; prints the cache error and returns None if unreadable."""
+def _split_library(cache, split=None) -> SplitLibrary | None:
+    """The ``cache`` file's split library, or the shipped one; None if the file
+    is unreadable or lacks the (n, sigma) ``split``, with the cache error printed.
+    """
     try:
-        return SplitLibrary.load(path)
+        lib = SplitLibrary.load(cache) if cache else default_library()
+        if split is not None:
+            lib.get(*split)
     except (KeyError, OSError, ValueError) as exc:
         print(f"split cache error: {exc}", file=sys.stderr)
         return None
+    return lib
 
 
-def _has_split(lib: SplitLibrary, n: int, sigma: float) -> bool:
-    """Whether ``lib`` holds the (n, sigma) split; prints the cache error if not."""
+# What a missing or malformed input file raises; HgmmError is a mixture that fails validation.
+_BAD_FILE = (HgmmError, IndexError, KeyError, OSError, TypeError, ValueError)
+
+
+def _read_file(kind: str, path, reader, parser):
+    """``reader(path)``; a file it cannot read is a usage error (exit 2) naming the file."""
     try:
-        lib.get(n, sigma)
-    except KeyError as exc:
-        print(f"split cache error: {exc}", file=sys.stderr)
-        return False
-    return True
+        return reader(path)
+    except _BAD_FILE as exc:
+        parser.error(f"{kind} file {path}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +145,8 @@ def cmd_benchmark(args, parser) -> int:
         parser.error("--e-res-max must be non-negative or inf")
     lib = None
     if not args.no_split:
-        if args.cache is None:
-            parser.error("--cache is required unless --no-split is given")
-        lib = _load_library(args.cache)
-        if lib is None or not _has_split(lib, args.split_n, args.split_sigma):
+        lib = _split_library(args.cache, (args.split_n, args.split_sigma))
+        if lib is None:
             return EXIT_CACHE
     res = run_benchmark(
         args.model,
@@ -182,10 +188,7 @@ def _network(spec: str, parser) -> RoadNetwork:
     """A builtin network by name, or one read from a JSON path (a bad file is a usage error)."""
     if spec in BUILTIN_NETWORKS:
         return builtin_network(spec)
-    try:
-        return RoadNetwork.load(spec)
-    except (KeyError, OSError, ValueError) as exc:
-        parser.error(f"network file {spec}: {exc}")
+    return _read_file("network", spec, RoadNetwork.load, parser)
 
 
 def _load_network(args, scenario, parser):
@@ -262,22 +265,29 @@ def _frame_record(k: int, t: float, mix: HybridMixture) -> dict:
     }
 
 
+def _load_scenario(path) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        scenario = json.load(fh)
+    if not isinstance(scenario, dict):
+        raise ValueError(f"expected a JSON object, got {type(scenario).__name__}")
+    return scenario
+
+
 def cmd_run(args, parser) -> int:
     timings = {}
     t0 = time.perf_counter()
-    with open(args.scenario, "r", encoding="utf-8") as fh:
-        scenario = json.load(fh)
+    scenario = _read_file("scenario", args.scenario, _load_scenario, parser)
     try:
         network, network_name = _load_network(args, scenario, parser)
         cfg = _engine_config(scenario, args)
         model, model_name = _build_model(scenario, network, cfg.dt)
         initial = _read_mixture(scenario["initial"]["mixands"],
                                 int_labels=model_name in BENCHMARK_MODELS)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (HgmmError, KeyError, TypeError, ValueError) as exc:
         parser.error(str(exc))
-    lib = _load_library(args.cache) if args.cache else default_library()
-    if lib is None or (np.isfinite(cfg.e_res_max) and not _has_split(
-            lib, cfg.split_n, cfg.split_sigma)):
+    lib = _split_library(args.cache, (cfg.split_n, cfg.split_sigma)
+                         if np.isfinite(cfg.e_res_max) else None)
+    if lib is None:
         return EXIT_CACHE
     seed = args.seed if args.seed is not None else int(scenario.get("seed", 0))
     timings["setup"] = time.perf_counter() - t0
@@ -336,6 +346,19 @@ def load_frames(path):
             [_read_mixture(rec["mixands"], int(rec["k"])) for rec in records])
 
 
+def _load_particles(path):
+    """The ``t`` and ``states`` arrays of a particle truth npz file."""
+    data = np.load(path)
+    return data["t"], data["states"]
+
+
+def _load_csv(path, columns=None):
+    """A headed CSV file's ``t`` column, and its ``columns`` (default: all others) stacked."""
+    rows = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+    columns = columns or [n for n in rows.dtype.names if n != "t"]
+    return rows["t"], np.column_stack([rows[n] for n in columns])
+
+
 def _write_metric_csv(path, times, values):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -347,7 +370,7 @@ def _write_metric_csv(path, times, values):
 def cmd_evaluate(args, parser) -> int:
     if args.samples < 1:
         parser.error("--samples must be positive")
-    times, frames = load_frames(args.frames)
+    times, frames = _read_file("frames", args.frames, load_frames, parser)
     if len(frames) == 0:
         parser.error("frames file is empty")
     dt = args.dt if args.dt is not None else (
@@ -356,8 +379,7 @@ def cmd_evaluate(args, parser) -> int:
     if args.metric == "nll":
         if not args.particles:
             parser.error("--particles is required for the nll metric")
-        data = np.load(args.particles)
-        part_t, states = data["t"], data["states"]
+        part_t, states = _read_file("particles", args.particles, _load_particles, parser)
         if part_t.shape[0] != len(frames) or np.abs(part_t - times).max() > dt / 2:
             print("timestamp mismatch between frames and particle truth", file=sys.stderr)
             return EXIT_TIMESTAMPS
@@ -367,11 +389,7 @@ def cmd_evaluate(args, parser) -> int:
     elif args.metric == "ll":
         if not args.observations:
             parser.error("--observations is required for the ll metric")
-        rows = np.genfromtxt(args.observations, delimiter=",", names=True)
-        rows = np.atleast_1d(rows)
-        names = [n for n in rows.dtype.names if n != "t"]
-        obs_t = rows["t"]
-        obs_v = np.column_stack([rows[n] for n in names])
+        obs_t, obs_v = _read_file("observations", args.observations, _load_csv, parser)
         values = []
         try:
             for t, row in zip(obs_t, obs_v):
@@ -387,6 +405,10 @@ def cmd_evaluate(args, parser) -> int:
             parser.error("--network and --route are required for the eote metric")
         network = _network(args.network, parser)
         route = [tok for tok in args.route.split(",") if tok]
+        unknown = [seg for seg in route if seg not in network.segments]
+        if unknown:
+            parser.error(f"--route: no segment {', '.join(map(repr, unknown))} in the network "
+                         f"(segments: {', '.join(network.segments)})")
         values = np.array(
             [eote([mix], network, route, args.samples, args.seed) for mix in frames]
         )
@@ -394,12 +416,11 @@ def cmd_evaluate(args, parser) -> int:
     elif args.metric == "collision":
         if not args.ego:
             parser.error("--ego is required for the collision metric")
-        rows = np.atleast_1d(np.genfromtxt(args.ego, delimiter=",", names=True))
-        ego_t = rows["t"]
+        ego_t, poses = _read_file("ego", args.ego,
+                                  lambda path: _load_csv(path, ["x", "y", "theta"]), parser)
         if len(ego_t) != len(frames) or np.abs(ego_t - times).max() > dt / 2:
             print("timestamp mismatch between frames and ego trajectory", file=sys.stderr)
             return EXIT_TIMESTAMPS
-        poses = np.column_stack([rows["x"], rows["y"], rows["theta"]])
         values, _, _ = collision_probability(
             frames, poses, samples=args.samples, seed=args.seed
         )
@@ -436,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-split", action="store_true", help="baseline arm only")
-    p.add_argument("--cache", help="split library file")
+    p.add_argument("--cache", help="split library file (default: the shipped library)")
     p.add_argument("--split-n", type=int, default=_BENCHMARK_DEFAULTS["split_n"])
     p.add_argument("--split-sigma", type=float, default=_BENCHMARK_DEFAULTS["split_sigma"])
     p.add_argument("--e-res-max", type=float, default=_BENCHMARK_DEFAULTS["e_res_max"])

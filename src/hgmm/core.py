@@ -266,7 +266,9 @@ class ProcessNoise:
         """Read-only noise block, (1 + 2 (n_x + dim), dim), of a sigma-point set.
 
         Zero on the center row and the 2 n_x state rows, then +gamma and
-        -gamma times the columns of ``sqrt``.
+        -gamma times the columns of ``sqrt``.  Each block is built once and
+        kept: ``generate_sigma_points`` always passes gamma = sqrt(3), so
+        there is one block per state dimension.
         """
         rows = self._sigma_rows.get((n_x, gamma))
         if rows is None:
@@ -275,8 +277,7 @@ class ProcessNoise:
                 spread = gamma * self.sqrt.T
                 rows[1 + 2 * n_x :] = np.vstack([spread, -spread])
             rows.setflags(write=False)
-            if len(self._sigma_rows) < 64:     # a caller sweeping lambda gets no unbounded cache
-                self._sigma_rows[n_x, gamma] = rows
+            self._sigma_rows[n_x, gamma] = rows
         return rows
 
 

@@ -187,8 +187,7 @@ def step_continuous(
                 rows, subset = slice(None), sigma_set
             else:
                 rows = np.flatnonzero(code == c)
-                subset = SigmaSet(sigma_set.state_points[rows], sigma_set.noise_points[rows],
-                                  sigma_set.lam, sigma_set.gamma)
+                subset = SigmaSet(sigma_set.state_points[rows], sigma_set.noise_points[rows])
             try:
                 propagated[rows] = propagate_points(subset, names[c], model.f_c_batch)
             except ModelEvaluationFailure as exc:
@@ -207,7 +206,7 @@ def step_continuous(
         kept = np.flatnonzero(~split)
         if kept.size:
             out.append((paths[kept], weights[kept], code[kept],
-                        *recombine(propagated[kept], sigma_set.weights())))
+                        *recombine(propagated[kept])))
         if not split.any():
             break
         parents = np.flatnonzero(split)

@@ -2,58 +2,52 @@
 
 The point set jointly covers state and process-noise uncertainty: one
 center point, a +/- pair per state axis, and a +/- pair per noise axis.
-Noise-free models (n_v = 0) simply get no noise block.
+Noise-free models (n_v = 0) simply get no noise block.  Every set uses
+the kurtosis-matching lambda = 3 - n of Julier and Uhlmann, n = n_x + n_v,
+so its points lie sqrt(n + lambda) = sqrt(3) standard deviations out.
 
 Every function also takes a stack of mixands along a leading axis: one
 set of points per mixand, built, propagated and recombined together.
 
 Nothing that is fixed for a run is rebuilt per step: the recombination
-weights are cached per (n_x, n_v, lambda), and the noise block of a set
-per (noise, n_x, gamma) on the ``ProcessNoise``.  Nothing that the engine
-made valid is checked again: covariances are factored without a symmetry
-check, and recombined ones are clipped only when a weight calls for it.
+weights are cached per n, and the noise block of a set per n_x on the
+``ProcessNoise``.  Nothing that the engine made valid is checked again:
+covariances are factored without a symmetry check, and recombined ones
+are PSD by construction, so they are not clipped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .core import Gaussian, ProcessNoise, _factor, symmetrize
 from .errors import DimensionMismatchError, ModelEvaluationFailure, NonFiniteValueError
 
 
 def default_lambda(n_x: int, n_v: int = 0) -> float:
-    """Kurtosis-matching heuristic: lambda = 3 - (n_x + n_v)."""
+    """Kurtosis-matching heuristic: lambda = 3 - (n_x + n_v), the one lambda every set uses."""
     return 3.0 - (n_x + n_v)
 
 
-@dataclass(frozen=True)
-class RecombinationWeights:
-    """Mean and covariance recombination weights for a sigma-point set."""
+# sqrt(n + lambda) at lambda = 3 - n, for every n.
+_GAMMA = np.sqrt(3.0)
 
-    mean_weights: np.ndarray
-    cov_weights: np.ndarray
 
-    @staticmethod
-    @lru_cache(maxsize=64)
-    def for_dims(n_x: int, n_v: int, lam: float) -> "RecombinationWeights":
-        """The standard weights, built once per (n_x, n_v, lam); the arrays are read-only."""
-        n = n_x + n_v
-        if lam <= -n:
-            raise ValueError(f"lambda must exceed -(n_x + n_v) = {-n}")
-        count = 1 + 2 * n
-        wm = np.full(count, 1.0 / (2.0 * (lam + n)))
-        wm[0] = lam / (lam + n)
-        wc = wm.copy()
-        wc[0] = lam / (lam + n) + 2.0
-        wm.setflags(write=False)
-        wc.setflags(write=False)
-        return RecombinationWeights(wm, wc)
+@lru_cache(maxsize=None)
+def _weights(n: int) -> tuple:
+    """Read-only (mean, covariance) weights of a 2n + 1 point set, built once per n."""
+    lam = default_lambda(n)
+    wm = np.full(1 + 2 * n, 1.0 / (2.0 * (lam + n)))
+    wm[0] = lam / (lam + n)
+    wc = wm.copy()
+    wc[0] = lam / (lam + n) + 2.0
+    wm.setflags(write=False)
+    wc.setflags(write=False)
+    return wm, wc
 
 
 @dataclass(frozen=True)
@@ -68,8 +62,6 @@ class SigmaSet:
 
     state_points: np.ndarray
     noise_points: np.ndarray
-    lam: float
-    gamma: float
 
     @property
     def n_x(self) -> int:
@@ -83,17 +75,12 @@ class SigmaSet:
     def count(self) -> int:
         return self.state_points.shape[-2]
 
-    def weights(self) -> RecombinationWeights:
-        return RecombinationWeights.for_dims(self.n_x, self.n_v, self.lam)
-
     def state_block(self) -> np.ndarray:
         """The 1 + 2*n_x points that carry state (not noise) spread."""
         return self.state_points[..., : 1 + 2 * self.n_x, :]
 
 
-def generate_sigma_points(
-    g, noise: ProcessNoise, lam: Optional[float] = None
-) -> SigmaSet:
+def generate_sigma_points(g, noise: ProcessNoise) -> SigmaSet:
     """Build the augmented sigma-point set for a Gaussian and process noise.
 
     ``g`` is a ``Gaussian``, or a ``(means, covs)`` pair of stacked (M, n_x)
@@ -106,20 +93,14 @@ def generate_sigma_points(
     """
     mean, cov = (g.mean, g.cov) if isinstance(g, Gaussian) else g
     n_x, n_v = mean.shape[-1], noise.dim
-    if lam is None:
-        lam = default_lambda(n_x, n_v)
-    n = n_x + n_v
-    if lam <= -n:
-        raise ValueError(f"lambda must exceed -(n_x + n_v) = {-n}")
-    gamma = np.sqrt(n + lam)
-    # Row 1 + j is the mean plus gamma times column j of the square root.
-    spread = gamma * _factor(cov).swapaxes(-1, -2)
+    # Row 1 + j is the mean plus sqrt(3) times column j of the square root.
+    spread = _GAMMA * _factor(cov).swapaxes(-1, -2)
     mean = mean[..., None, :]
-    chi = np.repeat(mean, 1 + 2 * n, axis=-2)
+    chi = np.repeat(mean, 1 + 2 * (n_x + n_v), axis=-2)
     chi[..., 1 : 1 + 2 * n_x, :] = np.concatenate([mean + spread, mean - spread], axis=-2)
     chi.setflags(write=False)
-    ups = noise.sigma_rows(n_x, gamma)
-    return SigmaSet(chi, np.broadcast_to(ups, chi.shape[:-1] + (n_v,)), float(lam), float(gamma))
+    ups = noise.sigma_rows(n_x, _GAMMA)
+    return SigmaSet(chi, np.broadcast_to(ups, chi.shape[:-1] + (n_v,)))
 
 
 def propagate_points(s: SigmaSet, alpha_next: object, f_c_batch: Callable) -> np.ndarray:
@@ -144,33 +125,31 @@ def propagate_points(s: SigmaSet, alpha_next: object, f_c_batch: Callable) -> np
     return out.reshape(s.state_points.shape)
 
 
-def recombine(points: np.ndarray, w: RecombinationWeights):
-    """Weighted moment recombination of propagated points into a Gaussian.
+def recombine(points: np.ndarray):
+    """Weighted moment recombination of a propagated sigma-point set into a Gaussian.
 
-    A stack of M point sets (M, count, n) gives a ``(means, covs)`` pair of
-    (M, n) and (M, n, n) arrays instead.  Each covariance is symmetrized.
-    With nonnegative covariance weights, as ``for_dims`` gives at the
-    default lambda for n_x + n_v <= 9, it is a nonnegative sum of rank-1
-    terms, PSD in exact arithmetic, and is not clipped: in fuzzed frames
-    rounding left no eigenvalue below -1e-17 times the trace.  When some
-    covariance weight is negative, each covariance's negative eigenvalues
-    are clipped.  The result is valid by construction: neither the
-    ``Gaussian`` nor a frame built from it is checked again.
+    ``points`` is a (2n + 1, d) set, n = n_x + n_v, weighted as
+    ``generate_sigma_points`` spreads it; an even point count raises
+    ``DimensionMismatchError``.  A stack of M sets (M, 2n + 1, d) gives a
+    ``(means, covs)`` pair of (M, d) and (M, d, d) arrays instead.  Each
+    covariance is symmetrized.  It is PSD in exact arithmetic, so it is not
+    clipped: for n <= 9 no weight is negative, and for n >= 10, where the
+    center covariance weight is, the variance along any direction is still
+    at least (3n + 9) / (6 (n - 3)^2) times the sum of the squared
+    deviations of the other points from the mean.  The result is valid by
+    construction: neither the ``Gaussian`` nor a frame built from it is
+    checked again.
     """
     points = np.asarray(points, dtype=float)
-    if points.shape[-2] != w.mean_weights.shape[0]:
-        raise DimensionMismatchError("point count does not match weight count")
-    mean = w.mean_weights @ points
+    count = points.shape[-2]
+    if count % 2 == 0:
+        raise DimensionMismatchError(f"a sigma-point set has 2n + 1 points, got {count}")
+    wm, wc = _weights(count // 2)
+    mean = wm @ points
     d = points - mean[..., None, :]
-    cov = symmetrize((d * w.cov_weights[:, None]).swapaxes(-1, -2) @ d)
+    cov = symmetrize((d * wc[:, None]).swapaxes(-1, -2) @ d)
     if not np.isfinite(cov).all():
         raise NonFiniteValueError("recombined covariance has a non-finite entry")
-    if w.cov_weights.min() < 0.0:
-        # A negative weight can make the sum indefinite: keep its PSD part.
-        stack = cov.reshape((-1,) + cov.shape[-2:])
-        for i in np.flatnonzero(np.linalg.eigvalsh(stack)[:, 0] < 0.0):
-            wv, v = eigh(stack[i])
-            stack[i] = symmetrize((v * np.clip(wv, 0.0, None)) @ v.T)
     if points.ndim > 2:
         return mean, cov
     return Gaussian._unchecked(mean, cov)

@@ -15,6 +15,7 @@ from hgmm import cli
 from hgmm.serialize import to_json
 
 LIB_PATH = str(files("hgmm.data") / "split_library.json")
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*argv):
@@ -118,6 +119,14 @@ class TestBenchmark:
         code = run_cli("benchmark", "--model", "ungm", "--samples", "2",
                        "--cache", str(tmp_path / "missing.json"))
         assert code == 4
+        assert "split cache error" in capsys.readouterr().err
+
+    def test_without_cache_splits_with_the_shipped_library(self, capsys):
+        assert run_cli("benchmark", "--model", "ungm", "--samples", "3", "--seed", "1") == 0
+        assert "split (N=" in capsys.readouterr().out
+
+    def test_shipped_library_missing_key(self, capsys):
+        assert run_cli("benchmark", "--model", "ungm", "--samples", "2", "--split-n", "99") == 4
         assert "split cache error" in capsys.readouterr().err
 
     def test_no_split_csv(self, tmp_path, capsys):
@@ -327,6 +336,44 @@ class TestRun:
         scen.write_text(json.dumps({"model": "bicycle", "network": "turn"}))
         code = run_cli("run", "--scenario", str(scen), "--out", str(tmp_path / "o.jsonl"))
         assert code == 2
+
+
+class TestUnreadableInput:
+    EOTE = ["--metric", "eote", "--network", "turn", "--route", "approach"]
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["run", "--scenario", "{missing}"], "scenario file", id="scenario-missing"),
+        pytest.param(["run", "--scenario", "{malformed}"], "scenario file",
+                     id="scenario-malformed"),
+        pytest.param(["run", "--scenario", "{json_list}"], "expected a JSON object",
+                     id="scenario-list"),
+        pytest.param(["run", "--scenario", "{asymmetric}"], "symmetric",
+                     id="scenario-asymmetric-covariance"),
+        pytest.param(["evaluate", "--frames", "{missing}", *EOTE], "frames file",
+                     id="frames-missing"),
+        pytest.param(["evaluate", "--frames", "{malformed}", *EOTE], "frames file",
+                     id="frames-malformed"),
+        pytest.param(["evaluate", "--frames", "{frames}", "--metric", "nll",
+                      "--particles", "{missing}"], "particles file", id="particles-missing"),
+        pytest.param(["evaluate", "--frames", "{frames}", "--metric", "eote", "--network", "turn",
+                      "--route", "approach,bogus"], "no segment 'bogus'", id="route-unknown"),
+        pytest.param(["evaluate", "--frames", "{frames}", "--metric", "ll",
+                      "--observations", "{missing}"], "observations file",
+                     id="observations-missing"),
+        pytest.param(["evaluate", "--frames", "{frames}", "--metric", "collision",
+                      "--ego", "{malformed}"], "ego file", id="ego-malformed"),
+    ])
+    def test_unreadable_input_is_usage_error(self, tmp_path, capsys, argv, message):
+        (tmp_path / "malformed.json").write_text("{not json")
+        (tmp_path / "list.json").write_text("[1, 2]")
+        write_scenario(tmp_path / "asymmetric.json", cov=[[1.0, 0.5, 0, 0], [0, 1.0, 0, 0],
+                                                          [0, 0, 1.0, 0], [0, 0, 0, 0.05]])
+        paths = {"missing": tmp_path / "missing.json", "malformed": tmp_path / "malformed.json",
+                 "json_list": tmp_path / "list.json", "asymmetric": tmp_path / "asymmetric.json",
+                 "frames": DATA / "turn_frames.jsonl"}
+        argv = [arg.format(**paths) for arg in argv]
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -37,7 +37,6 @@ from hgmm.models import (
     builtin_network,
     ungm_truth_density,
 )
-from hgmm.sigma import RecombinationWeights
 from hgmm.splitting import apply_split
 
 
@@ -93,7 +92,11 @@ def _sigma_points_reference(g, noise, lam):
     if n_v > 0:
         spread_v = gamma * noise.sqrt.T
         ups[1 + 2 * n_x :] = np.vstack([spread_v, -spread_v])
-    return chi, ups, RecombinationWeights.for_dims(n_x, n_v, float(lam))
+    wm = np.full(1 + 2 * n, 1.0 / (2.0 * (lam + n)))
+    wm[0] = lam / (lam + n)
+    wc = wm.copy()
+    wc[0] = lam / (lam + n) + 2.0
+    return chi, ups, (wm, wc)
 
 
 def _principal_axis_reference(moment):
@@ -127,9 +130,10 @@ def _assess_reference(pre, post, prior_cov, normalization, e_res_max):
 
 
 def _recombine_reference(points, w):
-    mean = w.mean_weights @ points
+    wm, wc = w
+    mean = wm @ points
     d = points - mean
-    cov = symmetrize((d * w.cov_weights[:, None]).T @ d)
+    cov = symmetrize((d * wc[:, None]).T @ d)
     if np.linalg.eigvalsh(cov).min() < 0.0:
         wv, v = scipy.linalg.eigh(cov)
         cov = symmetrize((v * np.clip(wv, 0.0, None)) @ v.T)

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgmm import Gaussian, ProcessNoise, NO_NOISE
-from hgmm.core import symmetrize
+from hgmm.core import matrix_sqrt, symmetrize
 from hgmm.errors import DimensionMismatchError
 from hgmm.sigma import (
-    RecombinationWeights,
+    _weights,
     default_lambda,
     generate_sigma_points,
     propagate_points,
@@ -19,21 +19,29 @@ from hgmm.sigma import (
 )
 
 
+def _weights_at(n_x, n_v, lam):
+    """The recombination weights of a 2 (n_x + n_v) + 1 point set at ``lam``, spelled out."""
+    n = n_x + n_v
+    wm = np.full(1 + 2 * n, 1.0 / (2.0 * (lam + n)))
+    wm[0] = lam / (lam + n)
+    wc = wm.copy()
+    wc[0] = lam / (lam + n) + 2.0
+    return wm, wc
+
+
 class TestGeneration:
     def test_unit_case_with_noise(self):
         g = Gaussian(np.zeros(1), np.eye(1))
         noise = ProcessNoise(np.eye(1))
-        s = generate_sigma_points(g, noise, lam=1.0)
+        s = generate_sigma_points(g, noise)
         assert s.count == 5
-        assert s.gamma == pytest.approx(math.sqrt(3.0))
         assert np.allclose(s.state_points[:, 0], [0.0, math.sqrt(3), -math.sqrt(3), 0.0, 0.0])
         assert np.allclose(s.noise_points[:, 0], [0.0, 0.0, 0.0, math.sqrt(3), -math.sqrt(3)])
 
     def test_two_state_one_noise_offsets(self):
         g = Gaussian(np.array([1.0, 2.0]), np.diag([4.0, 1.0]))
-        s = generate_sigma_points(g, ProcessNoise(np.eye(1)), lam=0.0)
+        s = generate_sigma_points(g, ProcessNoise(np.eye(1)))
         assert s.count == 7
-        assert s.gamma == pytest.approx(math.sqrt(3.0))
         # First state axis spreads +/- 2*sqrt(3), second +/- sqrt(3).
         assert np.allclose(s.state_points[1], [1.0 + 2 * math.sqrt(3), 2.0])
         assert np.allclose(s.state_points[3], [1.0 - 2 * math.sqrt(3), 2.0])
@@ -45,22 +53,37 @@ class TestGeneration:
         assert default_lambda(4, 2) == -3.0
 
     def test_central_covariance_weight(self):
-        w = RecombinationWeights.for_dims(2, 1, 0.0)
-        assert w.cov_weights[0] == pytest.approx(2.0)
-        assert w.mean_weights[0] == pytest.approx(0.0)
-        assert w.mean_weights[1:] == pytest.approx(np.full(6, 1.0 / 6.0))
+        wm, wc = _weights(3)
+        assert wc[0] == pytest.approx(2.0)
+        assert wm[0] == pytest.approx(0.0)
+        assert wm[1:] == pytest.approx(np.full(6, 1.0 / 6.0))
+
+    @pytest.mark.parametrize("n_x, n_v", [(1, 0), (1, 1), (2, 1), (3, 0), (4, 2), (6, 6)])
+    def test_weights_are_the_default_lambda_formula(self, n_x, n_v):
+        wm, wc = _weights(n_x + n_v)
+        want_wm, want_wc = _weights_at(n_x, n_v, default_lambda(n_x, n_v))
+        assert np.array_equal(wm, want_wm) and np.array_equal(wc, want_wc)
 
     def test_weights_are_built_once_and_read_only(self):
-        first = RecombinationWeights.for_dims(4, 2, -3.0)
-        again = RecombinationWeights.for_dims(4, 2, -3.0)
+        first = _weights(6)
+        again = _weights(6)
         assert again is first
-        for w in (first, again):
-            for array in (w.mean_weights, w.cov_weights):
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array[0] = 0.0
-        with pytest.raises(ValueError):
-            RecombinationWeights.for_dims(4, 2, -6.0)
+        for array in first:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("n_x, n_v", [(1, 0), (1, 1), (2, 1), (4, 2), (5, 7)])
+    def test_points_spread_sqrt_three_factor_columns(self, rng, random_spd, n_x, n_v):
+        # lambda = 3 - n for every n, so gamma = sqrt(n + lambda) = sqrt(3) exactly.
+        g = Gaussian(rng.normal(size=n_x), random_spd(rng, n_x))
+        noise = ProcessNoise(random_spd(rng, n_v)) if n_v else NO_NOISE
+        s = generate_sigma_points(g, noise)
+        state = np.sqrt(3.0) * matrix_sqrt(g.cov).T
+        assert np.array_equal(s.state_points[1 : 1 + n_x], g.mean + state)
+        assert np.array_equal(s.state_points[1 + n_x : 1 + 2 * n_x], g.mean - state)
+        spread = np.sqrt(3.0) * noise.sqrt.T
+        assert np.array_equal(s.noise_points[1 + 2 * n_x :], np.vstack([spread, -spread]))
 
     def test_noise_rows_are_built_once_and_read_only(self):
         noise = ProcessNoise(np.diag([0.25, 0.01]))
@@ -69,11 +92,9 @@ class TestGeneration:
         again = generate_sigma_points(g, noise)
         assert np.shares_memory(first.noise_points, again.noise_points)
         assert not again.noise_points.flags.writeable
-        spread = first.gamma * noise.sqrt.T
+        spread = np.sqrt(3.0) * noise.sqrt.T
         assert np.array_equal(again.noise_points,
                               np.vstack([np.zeros((9, 2)), spread, -spread]))
-        other = generate_sigma_points(g, noise, lam=1.0).noise_points
-        assert np.array_equal(other[9:11], math.sqrt(7.0) * noise.sqrt.T)
 
 
 class TestPropagation:
@@ -103,48 +124,45 @@ class TestPropagation:
 
 class TestRecombination:
     def test_identical_points_give_zero_covariance(self):
-        w = RecombinationWeights.for_dims(1, 0, 2.0)
         pts = np.full((3, 1), 4.2)
-        g = recombine(pts, w)
+        g = recombine(pts)
         assert g.mean[0] == pytest.approx(4.2)
         assert abs(g.cov[0, 0]) < 1e-15
 
-    def test_negative_eigenvalues_are_clipped(self):
-        # Weights from ``for_dims`` give a PSD covariance in exact arithmetic;
-        # a negative covariance weight can give an indefinite one, and only
-        # its PSD part is kept.
-        w = RecombinationWeights(np.full(3, 1 / 3), np.array([-1.0, 0.5, 0.5]))
-        pts = np.array([[0.0, 3.0], [1.0, 0.0], [-1.0, 0.0]])     # diag(1, -3) unclipped
-        assert np.allclose(recombine(pts, w).cov, np.diag([1.0, 0.0]), rtol=0, atol=1e-15)
-        _, covs = recombine(np.stack([pts, pts[:, ::-1]]), w)
-        assert np.allclose(covs, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], rtol=0, atol=1e-15)
+    @pytest.mark.parametrize("count", [2, 4, 8])
+    def test_even_point_count_rejected(self, count):
+        with pytest.raises(DimensionMismatchError):
+            recombine(np.zeros((count, 2)))
+        with pytest.raises(DimensionMismatchError):
+            recombine(np.zeros((3, count, 2)))
 
     @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(1, 6), m=st.integers(1, 4), rank=st.integers(0, 6),
+    @given(n=st.integers(1, 12), m=st.integers(1, 4), rank=st.integers(0, 12),
            scale=st.sampled_from([1e-6, 1.0, 1e3]), seed=st.integers(0, 10_000))
     def test_standard_weights_give_psd_without_clipping(self, n, m, rank, scale, seed):
-        # With nonnegative covariance weights the covariance is a nonnegative
-        # sum of rank-1 terms: PSD in exact arithmetic, so nothing is clipped.
-        w = RecombinationWeights.for_dims(n, 0, default_lambda(n))
-        assert w.cov_weights.min() >= 0.0
+        # The center covariance weight is negative from n = 10 on, yet the
+        # covariance is PSD in exact arithmetic at every n (see ``recombine``),
+        # so nothing is clipped and rounding stays far above -1e-12 of the trace.
+        wm, wc = _weights(n)
+        assert (wc.min() < 0.0) == (n >= 10)
         rng = np.random.default_rng(seed)
         rank = min(rank, n)     # points in a subspace of this dimension: a singular covariance
         basis = rng.normal(size=(rank, n))
         points = rng.normal(size=(m, 2 * n + 1, rank)) @ basis * scale + rng.normal(size=n)
-        means, covs = recombine(points, w)
-        d = points - (w.mean_weights @ points)[:, None, :]
-        unclipped = symmetrize((d * w.cov_weights[:, None]).swapaxes(1, 2) @ d)
+        means, covs = recombine(points)
+        d = points - (wm @ points)[:, None, :]
+        unclipped = symmetrize((d * wc[:, None]).swapaxes(1, 2) @ d)
         assert np.array_equal(covs, unclipped)
         assert np.array_equal(covs, covs.swapaxes(1, 2))
         trace = np.trace(covs, axis1=1, axis2=2)
         assert (np.linalg.eigvalsh(covs)[:, 0] >= -1e-12 * trace).all()
-        one = recombine(points[0], w)
+        one = recombine(points[0])
         assert np.array_equal(one.cov, covs[0]) and np.array_equal(one.mean, means[0])
 
     def test_unpropagated_roundtrip(self, rng, random_spd):
         g = Gaussian(rng.normal(size=3), random_spd(rng, 3))
         s = generate_sigma_points(g, NO_NOISE)
-        back = recombine(s.state_points, s.weights())
+        back = recombine(s.state_points)
         assert np.allclose(back.mean, g.mean, atol=1e-9)
         assert np.allclose(back.cov, g.cov, atol=1e-9)
 
@@ -156,7 +174,7 @@ class TestRecombination:
         cov = q @ np.diag(rng.uniform(0.2, 3.0, n)) @ q.T
         g = Gaussian(rng.normal(size=n), 0.5 * (cov + cov.T))
         s = generate_sigma_points(g, NO_NOISE)
-        back = recombine(s.state_points, s.weights())
+        back = recombine(s.state_points)
         assert np.allclose(back.mean, g.mean, atol=1e-9)
         assert np.allclose(back.cov, g.cov, atol=1e-8)
 
@@ -167,11 +185,6 @@ class TestRecombination:
         g = Gaussian(np.array([1.0, 2.0]), np.diag([0.5, 1.5]))
         s = generate_sigma_points(g, ProcessNoise(cov_v))
         out = propagate_points(s, None, lambda al, xs, vs: xs @ a.T + vs @ b.T)
-        got = recombine(out, s.weights())
+        got = recombine(out)
         assert np.allclose(got.mean, a @ g.mean, atol=1e-9)
         assert np.allclose(got.cov, a @ g.cov @ a.T + b @ cov_v @ b.T, atol=1e-8)
-
-    def test_lambda_bound_enforced(self):
-        g = Gaussian(np.zeros(2), np.eye(2))
-        with pytest.raises(ValueError):
-            generate_sigma_points(g, NO_NOISE, lam=-2.0)
