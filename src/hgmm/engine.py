@@ -29,7 +29,10 @@ from .core import (
     normalize,
 )
 from .errors import ModelEvaluationFailure, NoSuccessorError
-from .linearity import _principal_axes, assess_linearity
+# The engine takes the closed-form fit of its own symmetric sets and never
+# calls ``assess_linearity``; the name stays here because perfbench/spans.py
+# wraps the engine's layer functions where the engine looks them up.
+from .linearity import _symmetric_fit, assess_linearity  # noqa: F401
 from .reduction import ReductionConfig, reduce_mixture
 from .sigma import SigmaSet, generate_sigma_points, propagate_points, recombine
 from .splitting import SplitLibrary, apply_split
@@ -120,18 +123,23 @@ def step_discrete(mix: HybridMixture, model: DynamicsModel) -> HybridMixture:
     """Fan each mixand out over its possible next discrete states.
 
     A mixand leaves its state when ``transition_mask`` flags its mean; the
-    means of all mixands with one label go through one call.  The fan-out
-    is not renormalized: successor probabilities must be non-negative and
-    sum to 1 within 1e-9, else ``ValueError`` names the label.  ``mix``
-    itself is returned when no mixand changes.
+    means of all mixands with one label go through one call.  A label whose
+    only option is to stay, ``[(alpha, 1.0)]``, is not gated, since moving
+    would keep it and its weight.  The fan-out is not renormalized:
+    successor probabilities must be non-negative and sum to 1 within 1e-9,
+    else ``ValueError`` names the label; these checks, and
+    ``NoSuccessorError`` for a label with no successors, apply once some
+    mixand leaves.  ``mix`` itself is returned when no mixand changes.
     """
     moved = np.zeros(len(mix), dtype=bool)
     succ = {}
     for alpha in dict.fromkeys(mix.labels):
+        succ[alpha] = model.successor_options(alpha)
+        if succ[alpha] == [(alpha, 1.0)]:
+            continue
         rows = [i for i, label in enumerate(mix.labels) if label == alpha]
         moved[rows] = model.transition_mask(alpha, mix.means[rows])
         if moved[rows].any():
-            succ[alpha] = model.successor_options(alpha)
             if not succ[alpha]:
                 raise NoSuccessorError(f"discrete state {alpha!r} has no successors")
             for alpha_next, p in succ[alpha]:
@@ -168,6 +176,9 @@ def step_continuous(
     child indices; the output is sorted by path, which keeps the order of
     the input mixands and of their children.
 
+    A level's affine fit is the closed form of ``_symmetric_fit``, not the
+    QR of ``assess_linearity``: no factorization per level, and rank
+    deficiency is read off the sets' own spread (see its docstring).
     Splits conserve weight and ``recombine`` makes valid rows from finite
     points, so the output frame is neither renormalized nor checked.
     """
@@ -196,13 +207,12 @@ def step_continuous(
                 ) from exc
         split = np.zeros(len(code), dtype=bool)
         if assess:
-            report = assess_linearity(sigma_set.state_block(), propagated[:, : 1 + 2 * model.n_x],
-                                      prior_cov=covs, normalization=cfg.normalization,
-                                      e_res_max=cfg.e_res_max)
+            fit = _symmetric_fit(sigma_set.state_block(), propagated[:, : 1 + 2 * model.n_x],
+                                 covs, cfg.normalization, cfg.e_res_max)
             if depth < cfg.max_split_depth:
-                split = ~report.passed
+                split = ~fit.passed
             else:
-                depth_capped = int(np.count_nonzero(~report.passed))
+                depth_capped = int(np.count_nonzero(~fit.passed))
         kept = np.flatnonzero(~split)
         if kept.size:
             out.append((paths[kept], weights[kept], code[kept],
@@ -212,8 +222,7 @@ def step_continuous(
         parents = np.flatnonzero(split)
         # Axes for the split parents only; stacked eigh handles each matrix alone.
         children = apply_split((weights[parents], means[parents], covs[parents]),
-                               _principal_axes(report.moment[parents]),
-                               lib.get(cfg.split_n, cfg.split_sigma))
+                               fit.split_axes(parents), lib.get(cfg.split_n, cfg.split_sigma))
         n = len(children) // len(parents)
         paths = np.column_stack([np.repeat(paths[parents], n, axis=0),
                                  np.tile(np.arange(n), len(parents))])

@@ -1,10 +1,18 @@
 """Affine-fit residual metric for sigma-point propagation.
 
 How well a propagated point set is explained by the best affine model
-x' = A x + b is measured by the least-squares residual, computed through
-an LQ factorization of the augmented pre-point matrix so that neither A
-nor b is ever materialized.  The direction of worst fit becomes the
-splitting axis.
+x' = A x + b is measured by the least-squares residual.  The direction of
+worst fit becomes the splitting axis.
+
+Two paths compute it:
+
+* ``assess_linearity``, the generic path, takes any raw point set and
+  projects it through an LQ factorization of the augmented pre-point
+  matrix, so that neither A nor b is ever materialized.
+* ``_symmetric_fit``, the engine's path, takes the symmetric sets of
+  ``generate_sigma_points`` and needs no factorization: for a set
+  x0, x0 + s_j, x0 - s_j the vectors e_{+j} + e_{-j} - 2 e_0 span the null
+  space of the augmented points, so the residual has a closed form.
 """
 
 from __future__ import annotations
@@ -115,25 +123,83 @@ def assess_linearity(
     padded = np.concatenate([np.zeros((len(pre), n_x, n_x + 1)), chi_res], axis=2)
     point_residuals = padded @ q_t.swapaxes(1, 2)        # (M, n_x, m)
 
-    # Splitting axis: principal eigenvector of the residual-norm-weighted
-    # second moment of the pre-points, centered on the prior mean.
-    res_norms = np.linalg.norm(point_residuals, axis=1)
-    centered = pre - pre[:, :1]
-    moment = (centered * res_norms[:, :, None]).swapaxes(1, 2) @ centered
-    moment = 0.5 * (moment + moment.swapaxes(1, 2))
+    moment = _residual_moment(pre - pre[:, :1], np.linalg.norm(point_residuals, axis=1))
 
-    if normalization == "raw":
-        e_res = e_raw
-    elif normalization == "scaled":
-        if prior_cov is None:
-            raise ValueError("scaled normalization requires prior_cov")
-        tr = np.maximum(np.trace(np.atleast_2d(prior_cov), axis1=-2, axis2=-1), 1e-300)
-        e_res = e_raw / (math.sqrt(m) * np.sqrt(tr))
-    else:
-        raise ValueError(f"unknown normalization mode {normalization!r}")
-
+    e_res = _normalized(e_raw, m, prior_cov, normalization)
     passed = rank_deficient | (e_res <= e_res_max)
     if single:
         return LinearityReport(float(e_res[0]), float(e_raw[0]), point_residuals[0],
                                bool(passed[0]), bool(rank_deficient[0]), moment[0])
     return LinearityReport(e_res, e_raw, point_residuals, passed, rank_deficient, moment)
+
+
+def _residual_moment(centred: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Second moment of pre-points centred on the prior mean, each weighted by its residual norm.
+
+    Its principal eigenvector is the splitting axis.
+    """
+    moment = (centred * norms[:, :, None]).swapaxes(1, 2) @ centred
+    return 0.5 * (moment + moment.swapaxes(1, 2))
+
+
+def _normalized(e_raw: np.ndarray, m: int, prior_cov, normalization: str) -> np.ndarray:
+    """``e_res`` of the raw residuals of sets of m points, per ``normalization``."""
+    if normalization == "raw":
+        return e_raw
+    if normalization == "scaled":
+        if prior_cov is None:
+            raise ValueError("scaled normalization requires prior_cov")
+        tr = np.maximum(np.trace(np.atleast_2d(prior_cov), axis1=-2, axis2=-1), 1e-300)
+        return e_raw / (math.sqrt(m) * np.sqrt(tr))
+    raise ValueError(f"unknown normalization mode {normalization!r}")
+
+
+@dataclass(frozen=True)
+class _SymmetricFit:
+    """Affine fit of a stack of M symmetric sigma sets, as ``_symmetric_fit`` returns it."""
+
+    e_res: np.ndarray           # (M,) threshold-comparable residual
+    passed: np.ndarray          # (M,) rank-deficient, or e_res within e_res_max
+    rank_deficient: np.ndarray  # (M,) the set spans less than its state space
+    centred: np.ndarray         # (M, 2 n_x, n_x) points +j then -j, less the center
+    residuals: np.ndarray       # (M, n_x, n_x) row j: residual of points +j and -j
+
+    def split_axes(self, rows: np.ndarray) -> np.ndarray:
+        """Unit axis of worst fit of each set in ``rows``, as ``split_axis`` gives it."""
+        norms = np.linalg.norm(self.residuals[rows], axis=2)
+        return _principal_axes(_residual_moment(self.centred[rows], np.hstack([norms, norms])))
+
+
+def _symmetric_fit(pre: np.ndarray, post: np.ndarray, prior_cov: np.ndarray,
+                   normalization: str, e_res_max: float) -> _SymmetricFit:
+    """``assess_linearity`` in closed form for the sets ``generate_sigma_points`` makes.
+
+    ``pre`` is a stack (M, 2 n_x + 1, n_x) of state blocks x0, x0 + s_j,
+    x0 - s_j, and ``post`` their images.  The residual lies in the span of
+    r_j = e_{+j} + e_{-j} - 2 e_0, whose Gram matrix G = 2 I + 4 11^T has
+    the inverse I/2 - 11^T / (2 n_x + 1).  With B_j = y_{+j} + y_{-j} - 2 y_0
+    the raw residual is sqrt(tr(B^T G^-1 B)), and row j of G^-1 B is the
+    residual of points +j and -j; the center's adds nothing to the moment,
+    which is centred on x0.  Nothing is factored, so the result does not
+    depend on how well the set is conditioned.
+
+    Rank rule: a set is rank-deficient when its smallest |s_jj| is at most
+    1e-12 times the largest, or than 1 if the largest is below 1.  For a
+    positive definite covariance, with L its Cholesky factor, |s_jj| =
+    sqrt(3) L_jj are the pivots of the centred set: the QR's test of
+    ``assess_linearity`` on the spread alone.  For one that is not, factored
+    by its clipped eigen-decomposition, s_j is sqrt(3 w_j) times eigenvector
+    j, so a zero eigenvalue makes the set rank-deficient.  The two rules
+    differ only near the tolerance: the QR's pivots also carry x0, so its
+    threshold grows with |x0|.
+    """
+    n_x = pre.shape[-1]
+    centred = pre[:, 1:] - pre[:, :1]
+    b = post[:, 1 : 1 + n_x] + post[:, 1 + n_x :] - 2.0 * post[:, :1]
+    residuals = 0.5 * b - b.sum(axis=1, keepdims=True) / (2 * n_x + 1)
+    e_raw = np.sqrt((b * residuals).sum(axis=(1, 2)))
+    pivots = np.abs(np.diagonal(centred, axis1=1, axis2=2))
+    rank_deficient = pivots.min(axis=1) <= _RANK_TOL * np.maximum(pivots.max(axis=1), 1.0)
+    e_res = _normalized(e_raw, 2 * n_x + 1, prior_cov, normalization)
+    return _SymmetricFit(e_res, rank_deficient | (e_res <= e_res_max), rank_deficient,
+                         centred, residuals)

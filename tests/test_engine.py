@@ -30,6 +30,7 @@ from hgmm import (
 from hgmm.core import matrix_sqrt, normalize, symmetrize
 from hgmm.errors import ModelEvaluationFailure, NoSuccessorError
 from hgmm.evaluation import default_grid, mixture_pdf_points, numerical_kld
+from hgmm.linearity import _normalized, _symmetric_fit
 from hgmm.models import (
     BicycleConfig,
     BicycleModel,
@@ -269,6 +270,79 @@ class TestStepDiscrete:
             step_discrete(single(Gaussian(np.zeros(1), np.eye(1)), "a"), model)
 
 
+class GateCountingBicycle(BicycleModel):
+    """``BicycleModel`` that records the label of every ``transition_mask`` call."""
+
+    def __init__(self, network):
+        super().__init__(network)
+        self.gated = []
+
+    def transition_mask(self, alpha, xs):
+        self.gated.append(alpha)
+        return super().transition_mask(alpha, xs)
+
+
+class StayingModel(LinearModel):
+    """``LinearModel`` whose mixands never leave their label."""
+
+    def transition_mask(self, alpha, xs):
+        return np.zeros(len(xs), dtype=bool)
+
+
+def _step_discrete_reference(mix, model):
+    """The fan-out with every mixand gated on its own mean, stay-only labels too."""
+    out = [(w * p, alpha_next, mean, cov)
+           for w, alpha, mean, cov in zip(mix.weights.tolist(), mix.labels, mix.means, mix.covs)
+           for alpha_next, p in model.discrete_successors(alpha, Gaussian._unchecked(mean, cov))
+           if p > 0.0]
+    weights, labels, means, covs = zip(*out)
+    return np.array(weights), labels, np.stack(means), np.stack(covs)
+
+
+class TestStayOnlyLabels:
+    """A label whose only option is to stay is not gated; the frames do not change."""
+
+    def test_stay_only_labels_are_not_gated(self):
+        g = Gaussian(np.array([20.0, 0.0, 9.0, 0.0]), np.diag([2.0, 2.0, 2.0, 0.1]))
+        model = GateCountingBicycle(builtin_network("straight"))
+        mix = single(g, alpha="main")
+        assert step_discrete(mix, model) is mix and model.gated == []
+        model = GateCountingBicycle(builtin_network("turn"))
+        mix = HybridMixture(tuple(HybridMixand(0.25, label, g)
+                                  for label in ("exit", "approach", "exit", "turn")))
+        step_discrete(mix, model)
+        assert model.gated == ["approach", "turn"]
+
+    @pytest.mark.parametrize("network", ["straight", "turn", "intersection"])
+    def test_frames_match_gating_every_label(self, network, lib):
+        # Two priors on every segment, 3 m into its first and its last piece,
+        # taken through 35 steps: every step's fan-out is compared bit for bit.
+        model = BicycleModel(builtin_network(network))
+        mixands = []
+        for label, seg in model.network.segments.items():
+            line = seg.centerline
+            for a, b in ((line[0], line[1]), (line[-2], line[-1])):
+                d = (b - a) / np.linalg.norm(b - a)
+                mean = np.array([*(a + 3.0 * d), 9.0, math.atan2(d[1], d[0])])
+                mixands.append(HybridMixand(1.0, label,
+                                            Gaussian(mean, np.diag([0.5, 0.3, 0.4, 0.01]))))
+        mix = normalize(mixands)
+        cfg = EngineConfig(e_res_max=0.1, max_split_depth=1, reduction=ReductionConfig(10))
+        for _ in range(cfg.n_steps):
+            fanned = step_discrete(mix, model)
+            weights, labels, means, covs = _step_discrete_reference(mix, model)
+            assert fanned.labels == labels
+            for got, want in ((fanned.weights, weights), (fanned.means, means), (fanned.covs, covs)):
+                assert np.array_equal(got, want)
+            mix = reduce_mixture(step_continuous(fanned, model, cfg, lib), cfg.reduction)
+            mix = normalize(mix, mix.time_index, weight_floor=hgmm.core.WEIGHT_FLOOR)
+
+    def test_no_successors_and_no_mover_raises_nothing(self):
+        model = StayingModel(np.eye(1), routing={"s": []})
+        mix = single(Gaussian(np.zeros(1), np.eye(1)))
+        assert step_discrete(mix, model) is mix
+
+
 class TestStepContinuous:
     def test_linear_model_matches_kalman_prediction(self):
         a = np.array([[0.8, 0.2], [0.0, 1.1]])
@@ -305,6 +379,14 @@ class TestStepContinuous:
                 lambda x: mixture_pdf_points(frame, x[:, None]), truth, grid
             )
         assert klds[0.01] < klds[np.inf]
+
+
+def _stacked_sets(mix, model):
+    """State blocks of a frame's sigma sets, and their images, one dynamics call per mixand."""
+    s = generate_sigma_points((mix.means, mix.covs), model.process_noise)
+    post = np.stack([model.f_c_batch(alpha, xs, vs) for alpha, xs, vs
+                     in zip(mix.labels, s.state_points, s.noise_points)])
+    return s.state_block(), post[:, : 1 + 2 * model.n_x]
 
 
 class TestLevelSynchronousStep:
@@ -344,15 +426,11 @@ class TestLevelSynchronousStep:
     def test_stacked_assessment_matches_per_mixand(self, case, m, normalization, seed):
         model = NOISE_FREE if case == "noise-free" else BICYCLES[case]
         mix = step_discrete(random_prior(np.random.default_rng(seed), m, case), model)
-        s = generate_sigma_points((mix.means, mix.covs), model.process_noise)
-        post = np.stack([model.f_c_batch(alpha, xs, vs) for alpha, xs, vs
-                         in zip(mix.labels, s.state_points, s.noise_points)])
-        state = slice(0, 1 + 2 * model.n_x)
-        report = assess_linearity(s.state_block(), post[:, state], prior_cov=mix.covs,
-                                  normalization=normalization, e_res_max=0.05)
+        pre, post = _stacked_sets(mix, model)
+        report = assess_linearity(pre, post, prior_cov=mix.covs, normalization=normalization,
+                                  e_res_max=0.05)
         for i, cov in enumerate(mix.covs):
-            e_res, passed, axis = _assess_reference(s.state_points[i, state], post[i, state], cov,
-                                                    normalization, 0.05)
+            e_res, passed, axis = _assess_reference(pre[i], post[i], cov, normalization, 0.05)
             assert report.e_res[i] == pytest.approx(e_res, rel=1e-12, abs=1e-12)
             assert report.passed[i] == passed
             assert np.allclose(report.split_axis[i], axis, rtol=1e-12, atol=1e-12)
@@ -384,6 +462,77 @@ class TestLevelSynchronousStep:
             step_continuous(prior, BICYCLES["turn"], cfg, lib)
         (record,) = [r for r in caplog.records if "depth cap" in r.msg]
         assert type(record.args[1]) is int and record.args[1] == 5
+
+
+class TestClosedFormFit:
+    """The engine's closed-form fit agrees with the QR of ``assess_linearity``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.sampled_from(["turn", "intersection", "noise-free"]),
+        m=st.integers(1, 6),
+        normalization=st.sampled_from(["raw", "scaled"]),
+        seed=st.integers(0, 10_000),
+    )
+    @example(case="noise-free", m=6, normalization="raw", seed=5)
+    def test_matches_assess_linearity(self, case, m, normalization, seed):
+        model = NOISE_FREE if case == "noise-free" else BICYCLES[case]
+        mix = step_discrete(random_prior(np.random.default_rng(seed), m, case), model)
+        pre, post = _stacked_sets(mix, model)
+        report = assess_linearity(pre, post, prior_cov=mix.covs, normalization=normalization)
+        fit = _symmetric_fit(pre, post, mix.covs, normalization, math.inf)
+        # The noise-free model is affine on the singular-x0 mixands: both
+        # residuals are rounding there, so they agree to rounding of the images.
+        rounding = _normalized(1e-12 * np.abs(post).max(axis=(1, 2)), pre.shape[1], mix.covs,
+                               normalization)
+        assert np.array_equal(fit.rank_deficient, report.rank_deficient)
+        assert (np.abs(fit.e_res - report.e_res) <= 1e-12 * report.e_res + rounding).all()
+        for e_res_max in np.quantile(report.e_res, [0.0, 0.5, 1.0]) * [0.5, 1.0, 2.0]:
+            off = np.abs(report.e_res - e_res_max) > 1e-9 * e_res_max
+            passed = _symmetric_fit(pre, post, mix.covs, normalization, e_res_max).passed
+            assert np.array_equal(passed[off], (report.rank_deficient | (report.e_res <= e_res_max))[off])
+        # An error eps in the moment turns its top eigenvector by up to
+        # eps / gap: the axes agree within 1e-12 of top / gap.
+        rows = np.flatnonzero(~report.rank_deficient)
+        evals = np.linalg.eigvalsh(report.moment[rows])
+        tol = 1e-12 * evals[:, -1] / (evals[:, -1] - evals[:, -2])
+        assert (np.abs(fit.split_axes(rows) - report.split_axis[rows]).max(axis=1) <= tol).all()
+
+    @pytest.mark.parametrize("variances, deficient", [
+        ([2.0, 2.0, 2.0, 0.0], True),
+        ([2.0, 2.0, 2.0, 1e-30], True),
+        ([2.0, 2.0, 2.0, 1e-22], False),
+        ([2.0, 2.0, 2.0, 1e-20], False),
+        ([1e-26] * 4, True),
+    ])
+    def test_rank_rule(self, variances, deficient, lib):
+        # The spread sqrt(3 variance) along the heading against 1e-12 times
+        # the largest pivot, sqrt(6): 0 and 1.7e-15 are rank-deficient,
+        # 1.7e-11 and 1.7e-10 are not.  The QR of ``assess_linearity`` calls
+        # 1e-22 rank-deficient too, as its pivots carry the mean.  Pivots
+        # below 1 are held against 1: a set 1.7e-13 wide is rank-deficient.
+        prior = single(Gaussian(np.array([20.0, 0.0, 9.0, 0.0]), np.diag(variances)),
+                       alpha="approach")
+        model = BICYCLES["turn"]
+        pre, post = _stacked_sets(prior, model)
+        fit = _symmetric_fit(pre, post, prior.covs, "raw", 0.0)
+        assert fit.rank_deficient.tolist() == [deficient]
+        assert fit.passed.tolist() == [deficient]       # every residual fails e_res_max = 0
+        cfg = EngineConfig(e_res_max=0.0, max_split_depth=1, normalization="raw")
+        assert len(step_continuous(prior, model, cfg, lib)) == (1 if deficient else cfg.split_n)
+
+    def test_singular_noise_free_covariance_is_rank_deficient(self, lib):
+        # No variance in x0, where the model bends: the eigen path's zero
+        # eigenvalue gives a zero spread, so the set is rank-deficient.
+        cov = np.zeros((3, 3))
+        cov[1:, 1:] = [[1.0, 0.4], [0.4, 0.5]]
+        prior = single(Gaussian(np.array([0.5, -1.0, 2.0]), cov), alpha="a")
+        pre, post = _stacked_sets(prior, NOISE_FREE)
+        fit = _symmetric_fit(pre, post, prior.covs, "raw", 0.0)
+        assert fit.rank_deficient.tolist() == [True] and fit.passed.tolist() == [True]
+        assert assess_linearity(pre[0], post[0], normalization="raw").rank_deficient
+        cfg = EngineConfig(e_res_max=0.0, max_split_depth=1, normalization="raw")
+        assert len(step_continuous(prior, NOISE_FREE, cfg, lib)) == 1
 
 
 class TestMomentChecks:
