@@ -105,7 +105,11 @@ def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
     """Step a particle set through the hybrid dynamics, exactly.
 
     Each particle draws its own process noise and samples its discrete
-    transition by probability.  Returns one ParticleSet per step.
+    transition by probability.  Every label in use is gated, also one whose
+    only option is to stay: its crossings draw from the random stream like
+    any other, so skipping them would change every later draw.  When one
+    label holds every particle, ``transition_mask`` and ``f_c_batch`` get
+    the state and noise arrays whole.  Returns one ParticleSet per step.
     """
     rng = np.random.default_rng(ps.seed if seed is None else seed)
     states = np.array(ps.states)
@@ -118,9 +122,15 @@ def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
             table.append(label)
         return index[label]
 
-    def present() -> list:
-        """The codes in use, in ``repr`` order of their labels."""
-        return sorted(np.flatnonzero(np.bincount(codes)).tolist(), key=lambda c: repr(table[c]))
+    def groups() -> list:
+        """(code, rows) per label in use, in ``repr`` order of the labels.
+
+        ``rows`` is ``slice(None)`` when one label holds every particle.
+        """
+        used = sorted(np.flatnonzero(np.bincount(codes)).tolist(), key=lambda c: repr(table[c]))
+        if len(used) == 1:
+            return [(used[0], slice(None))]
+        return [(c, np.flatnonzero(codes == c)) for c in used]
 
     codes = np.array([code(alpha) for alpha in ps.alphas], dtype=int)
     noise_cov = model.process_noise.cov
@@ -128,9 +138,9 @@ def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
     for _ in range(steps):
         # Discrete transition, grouped by current label.
         new_codes = codes.copy()
-        for c in present():
-            idx = np.flatnonzero(codes == c)
-            crossed = idx[model.transition_mask(table[c], states[idx])]
+        for c, rows in groups():
+            mask = model.transition_mask(table[c], states[rows])
+            crossed = np.flatnonzero(mask) if isinstance(rows, slice) else rows[mask]
             if crossed.size:
                 labels, probs = zip(*model.successor_options(table[c]))
                 probs = np.array(probs)
@@ -144,9 +154,8 @@ def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
         else:
             noise = np.zeros((states.shape[0], 0))
         new_states = np.empty_like(states)
-        for c in present():
-            idx = np.flatnonzero(codes == c)
-            new_states[idx] = model.f_c_batch(table[c], states[idx], noise[idx])
+        for c, rows in groups():
+            new_states[rows] = model.f_c_batch(table[c], states[rows], noise[rows])
         states = new_states
         alphas = np.fromiter(table, dtype=object, count=len(table))[codes]
         frames.append(ParticleSet(states.copy(), tuple(alphas.tolist()), ps.seed))

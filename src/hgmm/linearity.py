@@ -109,10 +109,14 @@ def assess_linearity(
     if single:
         pre, post = pre[None], post[None]
 
-    # Augmented pre-point matrix: state rows plus a row of ones.  Its LQ
-    # factors come from the QR factorization of the transpose:
-    # c_aug = r_t.T @ q_t.T, with L = r_t.T (n_x + 1, m) and Q = q_t.T (m, m).
-    c_aug = np.concatenate([pre.swapaxes(1, 2), np.ones((len(pre), 1, m))], axis=1)
+    # Augmented pre-point matrix: state rows less the first point, plus a
+    # row of ones.  The ones row absorbs the shift, so the residual is that
+    # of the points themselves, and the rank test sees only their spread,
+    # wherever the set lies.  Its LQ factors come from the QR factorization
+    # of the transpose: c_aug = r_t.T @ q_t.T, with L = r_t.T (n_x + 1, m)
+    # and Q = q_t.T (m, m).
+    centred = pre - pre[:, :1]
+    c_aug = np.concatenate([centred.swapaxes(1, 2), np.ones((len(pre), 1, m))], axis=1)
     q_t, r_t = np.linalg.qr(c_aug.swapaxes(1, 2), mode="complete")
     l0_diag = np.abs(np.diagonal(r_t, axis1=1, axis2=2))
     rank_deficient = l0_diag.min(axis=1) <= _RANK_TOL * np.maximum(l0_diag.max(axis=1), 1.0)
@@ -123,7 +127,7 @@ def assess_linearity(
     padded = np.concatenate([np.zeros((len(pre), n_x, n_x + 1)), chi_res], axis=2)
     point_residuals = padded @ q_t.swapaxes(1, 2)        # (M, n_x, m)
 
-    moment = _residual_moment(pre - pre[:, :1], np.linalg.norm(point_residuals, axis=1))
+    moment = _residual_moment(centred, np.linalg.norm(point_residuals, axis=1))
 
     e_res = _normalized(e_raw, m, prior_cov, normalization)
     passed = rank_deficient | (e_res <= e_res_max)
@@ -189,9 +193,10 @@ def _symmetric_fit(pre: np.ndarray, post: np.ndarray, prior_cov: np.ndarray,
     sqrt(3) L_jj are the pivots of the centred set: the QR's test of
     ``assess_linearity`` on the spread alone.  For one that is not, factored
     by its clipped eigen-decomposition, s_j is sqrt(3 w_j) times eigenvector
-    j, so a zero eigenvalue makes the set rank-deficient.  The two rules
-    differ only near the tolerance: the QR's pivots also carry x0, so its
-    threshold grows with |x0|.
+    j, so a zero eigenvalue makes the set rank-deficient.  Neither rule
+    depends on x0.  They differ only near the tolerance: the QR's pivots
+    are sqrt(2) |s_jj| and, for the ones row, sqrt(2 n_x + 1), which sets
+    its scale when the spread is small.
     """
     n_x = pre.shape[-1]
     centred = pre[:, 1:] - pre[:, :1]

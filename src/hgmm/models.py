@@ -306,6 +306,39 @@ class Polyline:
             return self._project_dense(xy)
         return self._project_pruned(xy)
 
+    def reaches(self, xy: np.ndarray, s_min: float) -> np.ndarray:
+        """``project(xy)[0] >= s_min`` for every row, projecting only rows that may pass.
+
+        A row's arclength is cum[k] + clip(t_k) for its closest segment k.
+        Below the last segment that is at most cum[k + 1] <= cum[-2], as
+        rounding is monotone and ``cum`` is a running sum.  On the last
+        segment it is cum[-2] + clip(t), where t is the foot parameter on
+        that segment's line, computed here in ``_cells``' order and so to
+        the same bits: it is cum[-2] for t < 0 and at most the rounded
+        cum[-2] + t otherwise.  So when cum[-2] < s_min, a row whose rounded
+        cum[-2] + t is below s_min falls short whichever segment is closest,
+        and is not projected; no margin is needed.  Every other row is,
+        NaN and inf rows included, so a row's result does not depend on the
+        rest of the batch.
+        """
+        xy = np.atleast_2d(np.asarray(xy, dtype=float))
+        base = self.cum[-2]
+        if not s_min > base:
+            return self.project(xy)[0] >= s_min
+        px, py = self.points[-2]
+        dx, dy = self.dirs[-1]
+        s = xy[:, 0] - px
+        s *= dx
+        ty = xy[:, 1] - py
+        ty *= dy
+        s += ty
+        s += base
+        near = np.flatnonzero(~(s < s_min))
+        out = np.zeros(len(xy), dtype=bool)
+        if near.size:
+            out[near] = self.project(xy[near])[0] >= s_min
+        return out
+
     def _project_dense(self, xy):
         """Every (row, segment) cell, in (P, S) arrays."""
         t, dist = _cells(xy[:, :1], xy[:, 1:2], self.points[:-1, 0], self.points[:-1, 1],
@@ -444,9 +477,13 @@ class BicycleModel(DynamicsModel):
         return [(s, p) for s in succ]
 
     def transition_mask(self, alpha, xs):
+        """Rows whose closest point on segment ``alpha`` is within 1e-6 m of its end.
+
+        ``Polyline.reaches`` projects only the rows that may be that far along.
+        """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        s, _ = self._seg_lines[alpha].project(xs[:, :2])
-        return s >= self._seg_lines[alpha].length - 1e-6
+        line = self._seg_lines[alpha]
+        return line.reaches(xs[:, :2], line.length - 1e-6)
 
     # -- continuous dynamics -------------------------------------------------
 

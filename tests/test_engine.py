@@ -508,9 +508,8 @@ class TestClosedFormFit:
     def test_rank_rule(self, variances, deficient, lib):
         # The spread sqrt(3 variance) along the heading against 1e-12 times
         # the largest pivot, sqrt(6): 0 and 1.7e-15 are rank-deficient,
-        # 1.7e-11 and 1.7e-10 are not.  The QR of ``assess_linearity`` calls
-        # 1e-22 rank-deficient too, as its pivots carry the mean.  Pivots
-        # below 1 are held against 1: a set 1.7e-13 wide is rank-deficient.
+        # 1.7e-11 and 1.7e-10 are not.  Pivots below 1 are held against 1:
+        # a set 1.7e-13 wide is rank-deficient.
         prior = single(Gaussian(np.array([20.0, 0.0, 9.0, 0.0]), np.diag(variances)),
                        alpha="approach")
         model = BICYCLES["turn"]
@@ -520,6 +519,21 @@ class TestClosedFormFit:
         assert fit.passed.tolist() == [deficient]       # every residual fails e_res_max = 0
         cfg = EngineConfig(e_res_max=0.0, max_split_depth=1, normalization="raw")
         assert len(step_continuous(prior, model, cfg, lib)) == (1 if deficient else cfg.split_n)
+
+    @pytest.mark.parametrize("variance, deficient", [
+        (0.0, True), (1e-30, True), (1e-22, False), (1e-20, False)])
+    def test_rank_test_of_assess_linearity_ignores_where_the_set_lies(self, variance, deficient):
+        # The QR factors the points less their first one, plus the ones row,
+        # so its pivots carry the spread, not the mean: the same call at
+        # every x0, and the closed form's.
+        for x0 in (0.0, 5.0, 20.0, 200.0):
+            prior = single(Gaussian(np.array([x0, 0.0, 9.0, 0.0]),
+                                    np.diag([2.0, 2.0, 2.0, variance])), alpha="approach")
+            pre, post = _stacked_sets(prior, BICYCLES["turn"])
+            report = assess_linearity(pre, post, prior_cov=prior.covs, normalization="raw")
+            fit = _symmetric_fit(pre, post, prior.covs, "raw", 0.0)
+            assert report.rank_deficient.tolist() == fit.rank_deficient.tolist() == [deficient]
+            assert assess_linearity(pre[0], post[0], normalization="raw").rank_deficient is deficient
 
     def test_singular_noise_free_covariance_is_rank_deficient(self, lib):
         # No variance in x0, where the model bends: the eigen path's zero

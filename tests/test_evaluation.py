@@ -202,9 +202,40 @@ class TestParticles:
         got = propagate_particles(ps, model, 12)
         want = reference_propagate(ps, model, 12)
         assert len(set(want[-1].alphas)) == 4
-        for g, w in zip(got, want):
-            assert g.states.tobytes() == w.states.tobytes()
-            assert g.alphas == w.alphas
+        assert_same_frames(got, want)
+
+    def test_one_label_holding_every_particle_matches_reference_loop(self):
+        # A narrow prior well short of the junction: one label holds every
+        # particle for the first steps, then they spread over the branches.
+        model = BicycleModel(intersection_network())
+        prior = single(Gaussian(np.array([32.0, 0.0, 9.0, 0.0]), np.diag([0.5, 0.2, 0.5, 0.01])),
+                       alpha="approach")
+        ps = sample_particles(prior, 2000, seed=4)
+        got = propagate_particles(ps, model, 12)
+        want = reference_propagate(ps, model, 12)
+        labels = [len(set(frame.alphas)) for frame in want]
+        assert labels[:7] == [1] * 7 and labels[-1] == 4
+        assert_same_frames(got, want)
+
+    def test_stay_only_label_is_gated_and_draws(self):
+        # The only label of a 20 m road can only stay, yet the particles that
+        # pass its end draw their (single) option from the random stream.
+        model = BicycleModel(straight_road_network(length=20.0))
+        prior = single(Gaussian(np.array([12.0, 0.0, 9.0, 0.0]), np.diag([1.0, 0.2, 0.5, 0.01])),
+                       alpha="main")
+        ps = sample_particles(prior, 2000, seed=6)
+        got = propagate_particles(ps, model, 15)
+        want = reference_propagate(ps, model, 15)
+        crossed = [model.transition_mask("main", frame.states).sum() for frame in want]
+        assert crossed[0] == 0 and 0 < crossed[5] < 2000 and crossed[-1] == 2000
+        assert_same_frames(got, want)
+
+
+def assert_same_frames(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.states.tobytes() == w.states.tobytes()
+        assert g.alphas == w.alphas
 
 
 class TestNumericalKld:

@@ -237,6 +237,86 @@ class TestProjectAgainstDense:
         assert_projects_like_dense(line, lo + rng.random((LARGE, 2)) * (hi - lo))
 
 
+def assert_reaches_like_project(line, xy, s_min):
+    with np.errstate(invalid="ignore"):         # inf rows make inf - inf and 0 * inf
+        got = line.reaches(xy, s_min)
+        want = line.project(xy)[0] >= s_min
+    assert got.dtype == bool and np.array_equal(got, want)
+
+
+def gate_feet(line):
+    """Points within 8 ulps, per coordinate, of the foot 1e-6 m before the line's end."""
+    k = np.arange(-8.0, 9.0)
+    steps = np.column_stack([np.repeat(k, k.size), np.tile(k, k.size)])
+    return line.points[-1] - 1e-6 * line.dirs[-1] + steps * np.spacing(np.abs(line.points[-1]))
+
+
+def end_batch(line, rng):
+    """Feet from 1e-5 m before the end of the last segment to 5 m past it, off the line
+    by up to 30 m either side, `gate_feet`, vertices, random points; then special rows."""
+    end, d = line.points[-1], line.dirs[-1]
+    normal = np.array([-d[1], d[0]])
+    back = np.concatenate([np.linspace(1e-5, 0.0, 101), np.geomspace(1e-5, 1e-15, 41),
+                           -np.geomspace(1e-15, 5.0, 41)])
+    lateral = np.array([0.0, 1e-9, -0.5, 0.5, -3.0, 3.0, 30.0])
+    feet = (end - back[:, None] * d)[:, None, :] + lateral[None, :, None] * normal
+    lo, hi = line.points.min(axis=0) - 20.0, line.points.max(axis=0) + 20.0
+    rows = [feet.reshape(-1, 2), gate_feet(line), line.points, lo + rng.random((400, 2)) * (hi - lo),
+            [[np.nan, 0.0], [0.0, np.nan], [np.nan, np.nan], [np.inf, 0.0], [-np.inf, 0.0],
+             [0.0, np.inf], [np.inf, -np.inf], [1e150, 0.0], [-1e150, 1e150], [0.0, 1e150],
+             end + 1e150 * d, end - 1e150 * d]]
+    return np.vstack(rows)
+
+
+class TestReaches:
+    """``Polyline.reaches`` returns ``project(xy)[0] >= s_min`` exactly."""
+
+    @staticmethod
+    def thresholds(line):
+        base = line.cum[-2]
+        return [line.length - 1e-6, line.length, np.nextafter(line.length, 0.0),
+                np.nextafter(line.length, np.inf), line.length + 1.0, 0.5 * (base + line.length),
+                np.nextafter(base, np.inf), base, base - 1.0, 0.0, -np.inf, np.inf, np.nan]
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_POLYLINES))
+    def test_matches_project_on_builtin_lines(self, name):
+        line = BUILTIN_POLYLINES[name]
+        xy = end_batch(line, np.random.default_rng(sorted(BUILTIN_POLYLINES).index(name)))
+        assert len(xy) >= _PRUNE_MIN_ROWS      # the whole batch takes the pruned projection
+        for s_min in self.thresholds(line):
+            assert_reaches_like_project(line, xy, s_min)
+            assert_reaches_like_project(line, np.tile(xy, (2, 1)), s_min)
+        assert_reaches_like_project(line, np.zeros((0, 2)), line.length - 1e-6)
+        # The gate's threshold splits the points around it.
+        gate = line.length - 1e-6
+        assert 0 < line.reaches(gate_feet(line), gate).sum() < len(gate_feet(line))
+        # Each row alone, as the engine gates a mean, gives the batch's result.
+        with np.errstate(invalid="ignore"):
+            batch = line.reaches(xy, gate)
+            assert batch.any() and not batch.all()
+            assert all(line.reaches(row, gate)[0] == want for row, want in zip(xy[::7], batch[::7]))
+
+    def test_last_segment_shorter_than_the_gate_margin(self):
+        # The gate's threshold lies before the last segment: every row is projected.
+        line = Polyline(np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 5.0], [10.0 + 4e-7, 5.0]]))
+        assert line.length - 1e-6 < line.cum[-2]
+        xy = end_batch(line, np.random.default_rng(3))
+        for s_min in self.thresholds(line):
+            assert_reaches_like_project(line, xy, s_min)
+
+    def test_projects_only_rows_near_the_end(self, monkeypatch):
+        # Points scattered along the 32-chord arc, as particles driving it are.
+        line = BUILTIN_POLYLINES["turn-segment-turn"]
+        rng = np.random.default_rng(0)
+        xy = line.point_at(rng.uniform(0.0, line.length, LARGE)) + rng.normal(0.0, 0.5, (LARGE, 2))
+        projected = []
+        real = Polyline.project
+        monkeypatch.setattr(Polyline, "project",
+                            lambda self, p: projected.append(len(p)) or real(self, p))
+        line.reaches(xy, line.length - 1e-6)
+        assert len(projected) == 1 and 0 < projected[0] < len(xy) // 8
+
+
 class TestBicycle:
     def test_equilibrium_straight_drive(self):
         model = BicycleModel(straight_road_network())
