@@ -77,8 +77,9 @@ class Gaussian:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = _as_matrix(self.cov)
+        # Copies, so freezing them leaves the caller's arrays writeable.
+        mean = np.atleast_1d(np.array(self.mean, dtype=float))
+        cov = _as_matrix(np.array(self.cov, dtype=float))
         if cov.shape[0] != mean.shape[0]:
             raise DimensionMismatchError(
                 f"mean dim {mean.shape[0]} != cov dim {cov.shape[0]}"
@@ -242,7 +243,7 @@ class ProcessNoise:
     _sigma_rows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        cov = np.asarray(self.cov, dtype=float)
+        cov = np.array(self.cov, dtype=float)   # a copy: the caller's array stays writeable
         cov = np.atleast_2d(cov) if cov.size else cov.reshape(0, 0)
         if cov.shape[0] != cov.shape[1]:
             raise DimensionMismatchError("process noise covariance must be square")
@@ -329,7 +330,13 @@ def gaussian_logpdf(mean: np.ndarray, cov: np.ndarray, xs: np.ndarray) -> np.nda
     """Log density of N(mean, cov) at each row of ``xs``.
 
     One Cholesky factorization serves every row.  A covariance that is not
-    numerically positive definite gets a 1e-12 * trace jitter first.
+    numerically positive definite gets a 1e-12 * trace jitter first.  The
+    squared whitened coordinates are summed one coordinate at a time, left
+    to right, along the rows of the (n, P) solution: each pass runs over
+    the batch, and no (n, P) square is made.  For n <= 7 this is
+    ``np.sum(z * z, axis=0)`` bit for bit; from n = 8 NumPy's pairwise
+    summation reorders that sum, and the two differ by up to about 2e-16
+    relative.
     """
     n = mean.shape[0]
     sym = symmetrize(cov)
@@ -340,7 +347,10 @@ def gaussian_logpdf(mean: np.ndarray, cov: np.ndarray, xs: np.ndarray) -> np.nda
         chol = cholesky(sym, lower=True)
     z = solve_triangular(chol, (np.atleast_2d(xs) - mean).T, lower=True)
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return -0.5 * np.sum(z * z, axis=0) - 0.5 * (n * math.log(2.0 * math.pi) + logdet)
+    sq = np.zeros(z.shape[1])
+    for row in z:
+        sq += row * row
+    return -0.5 * sq - 0.5 * (n * math.log(2.0 * math.pi) + logdet)
 
 
 def gaussian_pdf(g: Gaussian, x: np.ndarray) -> float:

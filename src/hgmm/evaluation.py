@@ -61,7 +61,8 @@ class ParticleSet:
     seed: int = 0
 
     def __post_init__(self):
-        states = np.atleast_2d(np.asarray(self.states, dtype=float))
+        # A copy, so freezing it leaves the caller's array writeable.
+        states = np.atleast_2d(np.array(self.states, dtype=float))
         if states.shape[0] != len(self.alphas):
             raise DimensionMismatchError("one discrete label required per particle")
         states.setflags(write=False)
@@ -109,10 +110,15 @@ def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
     only option is to stay: its crossings draw from the random stream like
     any other, so skipping them would change every later draw.  When one
     label holds every particle, ``transition_mask`` and ``f_c_batch`` get
-    the state and noise arrays whole.  Returns one ParticleSet per step.
+    the state and noise arrays whole; otherwise each label's rows are
+    gathered with ``take``.  The noise draws are
+    ``Generator.multivariate_normal``'s (NumPy 2.4, SVD method) to the bit,
+    and use the same random numbers, with the covariance factored once per
+    call instead of once per step: ``ProcessNoise`` has already checked it.
+    Returns one ParticleSet per step.
     """
     rng = np.random.default_rng(ps.seed if seed is None else seed)
-    states = np.array(ps.states)
+    states = ps.states
     # Labels are held as integer codes into ``table``.
     table, index = [], {}
 
@@ -132,14 +138,22 @@ def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
             return [(used[0], slice(None))]
         return [(c, np.flatnonzero(codes == c)) for c in used]
 
+    def take(array, rows):
+        return array if isinstance(rows, slice) else array.take(rows, axis=0)
+
     codes = np.array([code(alpha) for alpha in ps.alphas], dtype=int)
-    noise_cov = model.process_noise.cov
+    n_v = model.process_noise.dim
+    # multivariate_normal's factor and mean; the factor's transpose stays a view, as
+    # there, so the product takes the same BLAS call and rounds the same way.
+    u, s, _ = np.linalg.svd(model.process_noise.cov)
+    noise_factor_t = (u * np.sqrt(s)).T
+    noise_mean = np.zeros(n_v)
     frames = []
     for _ in range(steps):
         # Discrete transition, grouped by current label.
         new_codes = codes.copy()
         for c, rows in groups():
-            mask = model.transition_mask(table[c], states[rows])
+            mask = model.transition_mask(table[c], take(states, rows))
             crossed = np.flatnonzero(mask) if isinstance(rows, slice) else rows[mask]
             if crossed.size:
                 labels, probs = zip(*model.successor_options(table[c]))
@@ -147,18 +161,16 @@ def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
                 pick = rng.choice(len(labels), size=crossed.size, p=probs / probs.sum())
                 new_codes[crossed] = np.array([code(label) for label in labels])[pick]
         codes = new_codes
-        # Continuous propagation with per-particle noise draws.
-        if noise_cov.shape[0] > 0:
-            noise = rng.multivariate_normal(np.zeros(noise_cov.shape[0]), noise_cov,
-                                            size=states.shape[0])
-        else:
-            noise = np.zeros((states.shape[0], 0))
+        # Continuous propagation with per-particle noise draws; adding the
+        # zero mean turns -0.0 into 0.0, as multivariate_normal does.
+        noise = rng.standard_normal((states.shape[0], n_v)) @ noise_factor_t
+        noise += noise_mean
         new_states = np.empty_like(states)
         for c, rows in groups():
-            new_states[rows] = model.f_c_batch(table[c], states[rows], noise[rows])
+            new_states[rows] = model.f_c_batch(table[c], take(states, rows), take(noise, rows))
         states = new_states
         alphas = np.fromiter(table, dtype=object, count=len(table))[codes]
-        frames.append(ParticleSet(states.copy(), tuple(alphas.tolist()), ps.seed))
+        frames.append(ParticleSet(states, tuple(alphas.tolist()), ps.seed))
     return frames
 
 
@@ -225,8 +237,9 @@ class TrackObservations:
     source_id: str = ""
 
     def __post_init__(self):
-        t = np.atleast_1d(np.asarray(self.times, dtype=float))
-        v = np.atleast_2d(np.asarray(self.values, dtype=float)) if np.size(self.values) else np.zeros((0, 2))
+        # Copies, so freezing them leaves the caller's arrays writeable.
+        t = np.atleast_1d(np.array(self.times, dtype=float))
+        v = np.atleast_2d(np.array(self.values, dtype=float)) if np.size(self.values) else np.zeros((0, 2))
         if t.shape[0] != v.shape[0]:
             raise DimensionMismatchError("one value row per timestamp required")
         if t.size > 1 and not (np.diff(t) > 0).all():

@@ -143,7 +143,7 @@ class RoadSegment:
     successors: tuple
 
     def __post_init__(self):
-        line = np.asarray(self.centerline, dtype=float)
+        line = np.array(self.centerline, dtype=float)   # a copy: the caller's array stays writeable
         if line.ndim != 2 or line.shape[1] != 2 or line.shape[0] < 2:
             raise ValueError(f"segment {self.seg_id}: centerline must be (P, 2), P >= 2")
         finite = np.isfinite(line).all()
@@ -279,7 +279,8 @@ class Polyline:
         idx = np.minimum(len(self.seg_len) - 1,
                          np.maximum(0, np.searchsorted(self.cum, s, side="right") - 1))
         local = s - self.cum[idx]
-        return self.points[idx] + self.dirs[idx] * local[:, None]
+        # ``take`` gathers rows on NumPy's fast path; fancy indexing does not.
+        return self.points.take(idx, axis=0) + self.dirs.take(idx, axis=0) * local[:, None]
 
     def project(self, xy: np.ndarray):
         """Closest-point projection: returns (arclength s, distance) per row.
@@ -336,7 +337,7 @@ class Polyline:
         near = np.flatnonzero(~(s < s_min))
         out = np.zeros(len(xy), dtype=bool)
         if near.size:
-            out[near] = self.project(xy[near])[0] >= s_min
+            out[near] = self.project(xy.take(near, axis=0))[0] >= s_min
         return out
 
     def _project_dense(self, xy):
@@ -344,8 +345,9 @@ class Polyline:
         t, dist = _cells(xy[:, :1], xy[:, 1:2], self.points[:-1, 0], self.points[:-1, 1],
                          self.dirs[:, 0], self.dirs[:, 1], self.seg_len)
         best = dist.argmin(axis=1)      # on rounded distances: ties go to the lowest index
-        rows = np.arange(xy.shape[0])
-        return self.cum[best] + t[rows, best], dist[rows, best]
+        # Each row's winning cell, as a flat index into the C-ordered (P, S) arrays.
+        flat = np.arange(0, dist.size, dist.shape[1]) + best
+        return self.cum[best] + t.take(flat), dist.take(flat)
 
     def _project_pruned(self, xy):
         """The cells of the blocks that may hold each row's closest point.
@@ -494,10 +496,12 @@ class BicycleModel(DynamicsModel):
         route = self._routes[alpha]
         s, d = route.project(xs[:, :2])
         target = route.point_at(s + cfg.lookahead)
-        dxy = target - xs[:, :2]
-        # np.linalg.norm's and np.clip's results bit for bit (as in `Polyline.point_at`).
-        dist = np.maximum(np.sqrt(np.add.reduce(dxy * dxy, axis=1)), 1e-6)
-        bearing = np.arctan2(dxy[:, 1], dxy[:, 0])
+        dx = target[:, 0] - xs[:, 0]
+        dy = target[:, 1] - xs[:, 1]
+        # np.linalg.norm's and np.clip's results bit for bit (as in `Polyline.point_at`):
+        # a sum of two terms has one rounding whatever its order.
+        dist = np.maximum(np.sqrt(dx * dx + dy * dy), 1e-6)
+        bearing = np.arctan2(dy, dx)
         err = np.arctan2(np.sin(bearing - xs[:, 3]), np.cos(bearing - xs[:, 3]))
         curvature = 2.0 * np.sin(err) / dist
         u1 = np.minimum(cfg.a_max, np.maximum(-cfg.a_max, cfg.k_v * (cfg.v_target - xs[:, 2])))

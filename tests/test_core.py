@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,13 +12,14 @@ from hgmm import (
     Gaussian,
     HybridMixand,
     HybridMixture,
+    ProcessNoise,
     gaussian_pdf,
     isd_terms,
     matrix_sqrt,
     mixture_moments,
     normalize,
 )
-from hgmm.core import _factor, symmetrize
+from hgmm.core import _factor, gaussian_logpdf, symmetrize
 from hgmm.errors import (
     DimensionMismatchError,
     EmptyMixtureError,
@@ -122,6 +124,37 @@ class TestGaussianPdf:
     def test_non_finite_is_a_value_error(self):
         with pytest.raises(ValueError):
             Gaussian(np.zeros(2), np.full((2, 2), np.nan))
+
+    def test_callers_arrays_stay_writeable(self):
+        mean, cov = np.zeros(2), np.eye(2)
+        g = Gaussian(mean, cov)
+        noise = ProcessNoise(cov)
+        assert mean.flags.writeable and cov.flags.writeable
+        assert not (g.mean.flags.writeable or g.cov.flags.writeable or noise.cov.flags.writeable)
+        mean[0], cov[0, 0] = 5.0, 7.0
+        assert g.mean[0] == 0.0 and g.cov[0, 0] == 1.0 and noise.cov[0, 0] == 1.0
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_logpdf_sums_squares_in_coordinate_order(self, n):
+        # gaussian_logpdf adds the squared whitened coordinates one row of the
+        # (n, P) solution at a time.  np.sum over that F-ordered solution has
+        # the same bits for n <= 7; from n = 8 NumPy's pairwise summation
+        # reorders it, and the two move apart by up to about 2e-16 relative.
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n))
+        cov = a @ a.T + 0.5 * np.eye(n)
+        mean = rng.normal(size=n)
+        xs = mean + 3.0 * rng.normal(size=(2000, n))
+        chol = scipy.linalg.cholesky(cov, lower=True)
+        z = scipy.linalg.solve_triangular(chol, (xs - mean).T, lower=True)
+        assert z.flags.f_contiguous
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        want = -0.5 * np.sum(z * z, axis=0) - 0.5 * (n * math.log(2.0 * math.pi) + logdet)
+        got = gaussian_logpdf(mean, cov, xs)
+        if n <= 7:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert (np.abs(got - want) <= 5e-16 * np.abs(want)).all()
 
 
 class TestIsdTerms:

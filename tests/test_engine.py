@@ -481,6 +481,11 @@ class TestClosedFormFit:
         pre, post = _stacked_sets(mix, model)
         report = assess_linearity(pre, post, prior_cov=mix.covs, normalization=normalization)
         fit = _symmetric_fit(pre, post, mix.covs, normalization, math.inf)
+        # The two rank rules differ in a band near the tolerance (see
+        # test_rank_rules_differ_in_a_band_near_the_tolerance).  random_prior's
+        # scales are uniform on 0.05-2 (times 0.05 for the bicycle's heading),
+        # or exactly 0, so no draw reaches that band and the equality below
+        # does not depend on the draw.
         # The noise-free model is affine on the singular-x0 mixands: both
         # residuals are rounding there, so they agree to rounding of the images.
         rounding = _normalized(1e-12 * np.abs(post).max(axis=(1, 2)), pre.shape[1], mix.covs,
@@ -534,6 +539,28 @@ class TestClosedFormFit:
             fit = _symmetric_fit(pre, post, prior.covs, "raw", 0.0)
             assert report.rank_deficient.tolist() == fit.rank_deficient.tolist() == [deficient]
             assert assess_linearity(pre[0], post[0], normalization="raw").rank_deficient is deficient
+
+    @pytest.mark.parametrize("variance, qr_deficient, fit_deficient", [
+        (1e-25, True, True),
+        (5e-25, True, False),
+        (1e-24, True, False),
+        (1.4e-24, True, False),
+        (2e-24, False, False),
+    ])
+    def test_rank_rules_differ_in_a_band_near_the_tolerance(self, variance, qr_deficient,
+                                                            fit_deficient):
+        # For a set this narrow the QR's largest pivot is its ones row,
+        # sqrt(2 n_x + 1) = 3, and it holds the spread pivots sqrt(2) |s_jj|
+        # against 1e-12 times that; the closed form holds |s_jj| against
+        # 1e-12 times 1.  So spreads sqrt(3 v) from 1e-12 to about 2.1e-12 are
+        # rank-deficient to the QR only.  The engine takes the closed form.
+        prior = single(Gaussian(np.array([20.0, 0.0, 9.0, 0.0]), variance * np.eye(4)),
+                       alpha="approach")
+        pre, post = _stacked_sets(prior, BICYCLES["turn"])
+        report = assess_linearity(pre, post, prior_cov=prior.covs, normalization="raw")
+        fit = _symmetric_fit(pre, post, prior.covs, "raw", 0.0)
+        assert report.rank_deficient.tolist() == [qr_deficient]
+        assert fit.rank_deficient.tolist() == [fit_deficient]
 
     def test_singular_noise_free_covariance_is_rank_deficient(self, lib):
         # No variance in x0, where the model bends: the eigen path's zero

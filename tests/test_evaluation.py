@@ -26,7 +26,13 @@ from hgmm.evaluation import (
     propagate_particles,
     sample_particles,
 )
-from hgmm.models import BicycleModel, Polyline, intersection_network, straight_road_network
+from hgmm.models import (
+    BicycleConfig,
+    BicycleModel,
+    Polyline,
+    intersection_network,
+    straight_road_network,
+)
 
 from test_engine import LinearModel, single
 
@@ -216,6 +222,30 @@ class TestParticles:
         labels = [len(set(frame.alphas)) for frame in want]
         assert labels[:7] == [1] * 7 and labels[-1] == 4
         assert_same_frames(got, want)
+
+    def test_correlated_noise_matches_reference_loop(self):
+        # The noise draws must be multivariate_normal's to the bit.  A
+        # diagonal covariance cannot tell its factor u * sqrt(s) from
+        # sqrt(s)[:, None] * vh; a correlated one can.
+        model = BicycleModel(intersection_network(),
+                             BicycleConfig(noise_cov=((0.25, 0.02), (0.02, 0.01))))
+        prior = single(Gaussian(np.array([34.0, 0.0, 9.0, 0.0]), np.diag([4.0, 1.0, 2.0, 0.05])),
+                       alpha="approach")
+        ps = sample_particles(prior, 2000, seed=8)
+        got = propagate_particles(ps, model, 12)
+        want = reference_propagate(ps, model, 12)
+        assert len(set(want[-1].alphas)) == 4
+        assert_same_frames(got, want)
+
+    def test_callers_arrays_stay_writeable(self):
+        states, times, values = np.zeros((3, 2)), np.array([0.1, 0.2]), np.ones((2, 2))
+        ps = ParticleSet(states, ("a",) * 3)
+        obs = TrackObservations(times, values)
+        frozen = (ps.states, obs.times, obs.values)
+        assert all(a.flags.writeable for a in (states, times, values))
+        assert not any(a.flags.writeable for a in frozen)
+        states[0, 0], times[0], values[0, 0] = 5.0, 0.0, 5.0
+        assert ps.states[0, 0] == 0.0 and obs.times[0] == 0.1 and obs.values[0, 0] == 1.0
 
     def test_stay_only_label_is_gated_and_draws(self):
         # The only label of a 20 m road can only stay, yet the particles that

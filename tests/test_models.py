@@ -98,6 +98,13 @@ class TestRoadNetwork:
         with pytest.raises(ValueError):
             RoadNetwork([a, b])
 
+    def test_callers_centerline_stays_writeable(self):
+        line = np.array([[0.0, 0.0], [10.0, 0.0]])
+        seg = RoadSegment("a", line, 2.0, ())
+        assert line.flags.writeable and not seg.centerline.flags.writeable
+        line[1, 0] = 20.0
+        assert seg.centerline[1, 0] == 10.0
+
     def test_save_load_roundtrip(self, tmp_path):
         net = turn_network()
         p = tmp_path / "net.json"
