@@ -188,7 +188,7 @@ def normalize(mixands, time_index: int = 0, weight_floor: float = 0.0) -> Hybrid
     a ``(weights, means, covs, labels)`` tuple, whose arrays are copied.
     With a positive ``weight_floor``, mixands lighter than the floor after
     the first normalization pass are removed and weights renormalized.  A
-    frame that this leaves unchanged is returned as it is.
+    frame at ``time_index`` summing to exactly 1, none under the floor, is returned as is.
 
     Mixands and tuples enter here, so their means and covariances are
     checked like ``Gaussian``'s, once for the whole frame.  A frame's rows
@@ -208,7 +208,11 @@ def normalize(mixands, time_index: int = 0, weight_floor: float = 0.0) -> Hybrid
         _check_moments(means, covs)
     # Totals are summed left to right, as Python's sum does, so no weight
     # depends on NumPy's pairwise summation order.
-    total = sum(weights.tolist())
+    listed = weights.tolist()
+    total = sum(listed)
+    if (frame is not None and total == 1.0 and time_index == frame.time_index
+            and min(listed) >= weight_floor):
+        return frame    # the bits every pass below would give
     if total <= 0:
         raise ValueError("total weight must be positive")
     weights = weights / total
@@ -226,9 +230,6 @@ def normalize(mixands, time_index: int = 0, weight_floor: float = 0.0) -> Hybrid
         if s == 1.0:
             break
         weights[int(np.argmax(weights))] += 1.0 - s
-    if (frame is not None and time_index == frame.time_index
-            and len(weights) == len(frame) and (weights == frame.weights).all()):
-        return frame
     return _frame(weights, means, covs, labels, time_index)
 
 

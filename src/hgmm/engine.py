@@ -85,7 +85,11 @@ class DynamicsModel(ABC):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Tuning knobs for one anticipation run."""
+    """Tuning knobs for one anticipation run.
+
+    The defaults (``"scaled"`` at ``e_res_max=0.1``) split neither builtin
+    wide prior; the measured configurations pass ``normalization="raw"``.
+    """
 
     e_res_max: float = 0.1
     split_n: int = 5
@@ -149,6 +153,8 @@ def step_discrete(mix: HybridMixture, model: DynamicsModel) -> HybridMixture:
             total = sum(p for _, p in succ[alpha])
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"successor probabilities of {alpha!r} sum to {total}")
+    if not moved.any():
+        return mix
     out = []
     for i, (w, alpha, leaves) in enumerate(zip(mix.weights.tolist(), mix.labels, moved.tolist())):
         if leaves:
@@ -179,8 +185,10 @@ def step_continuous(
     A level's affine fit is the closed form of ``_symmetric_fit``, not the
     QR of ``assess_linearity``: no factorization per level, and rank
     deficiency is read off the sets' own spread (see its docstring).
-    Splits conserve weight and ``recombine`` makes valid rows from finite
-    points, so the output frame is neither renormalized nor checked.
+    A level of one label keeps its dynamics output as it is, and a level
+    where nothing splits recombines it whole, with no gathers.  Splits
+    conserve weight and ``recombine`` makes valid rows from finite points,
+    so the output frame is neither renormalized nor checked.
     """
     assess = lib is not None and math.isfinite(cfg.e_res_max)
     index: dict = {}    # label -> code; ``names`` maps a code back to its label
@@ -191,21 +199,24 @@ def step_continuous(
     out, depth_capped = [], 0
     for depth in itertools.count():
         sigma_set = generate_sigma_points((means, covs), model.process_noise)
-        propagated = np.empty(sigma_set.state_points.shape)
         level_codes = dict.fromkeys(code.tolist())
+        propagated = None if len(level_codes) == 1 else np.empty(sigma_set.state_points.shape)
         for c in level_codes:
-            if len(level_codes) == 1:
-                rows, subset = slice(None), sigma_set
-            else:
+            rows, subset = slice(None), sigma_set
+            if propagated is not None:
                 rows = np.flatnonzero(code == c)
                 subset = SigmaSet(sigma_set.state_points[rows], sigma_set.noise_points[rows])
             try:
-                propagated[rows] = propagate_points(subset, names[c], model.f_c_batch)
+                points = propagate_points(subset, names[c], model.f_c_batch)
             except ModelEvaluationFailure as exc:
                 raise ModelEvaluationFailure(
                     f"dynamics evaluation failed for mixand alpha={names[c]!r}: {exc}"
                 ) from exc
-        split = np.zeros(len(code), dtype=bool)
+            if propagated is None:      # one label: its output is the level's
+                propagated = points
+            else:
+                propagated[rows] = points
+        split = None
         if assess:
             fit = _symmetric_fit(sigma_set.state_block(), propagated[:, : 1 + 2 * model.n_x],
                                  covs, cfg.normalization, cfg.e_res_max)
@@ -213,12 +224,13 @@ def step_continuous(
                 split = ~fit.passed
             else:
                 depth_capped = int(np.count_nonzero(~fit.passed))
+        if split is None or not split.any():
+            out.append((paths, weights, code, *recombine(propagated)))
+            break
         kept = np.flatnonzero(~split)
         if kept.size:
             out.append((paths[kept], weights[kept], code[kept],
                         *recombine(propagated[kept])))
-        if not split.any():
-            break
         parents = np.flatnonzero(split)
         # Axes for the split parents only; stacked eigh handles each matrix alone.
         children = apply_split((weights[parents], means[parents], covs[parents]),
@@ -253,9 +265,10 @@ def anticipate(
 ) -> list:
     """Run the full pipeline for horizon/dt steps; returns one frame per step.
 
-    A model's own ``dt``, if any, must equal ``cfg.dt``.  Each step
-    renormalizes with the weight floor, and once more in the reducer when
-    it shrinks the frame.  Propagation is sequential.
+    A model's own ``dt``, if any, must equal ``cfg.dt``.  With ``lib`` and a
+    finite ``e_res_max``, a missing split entry raises ``KeyError`` at once.
+    Each step renormalizes with the weight floor, and once more in the
+    reducer when it shrinks the frame.  Propagation is sequential.
     ``threads`` only accepts 1; it remains for callers that still pass it
     (``perfbench/workloads.py``).
     """
@@ -264,6 +277,8 @@ def anticipate(
     if model.dt is not None and model.dt != cfg.dt:
         raise ValueError(f"model steps {model.dt} s but the engine steps {cfg.dt} s; "
                          "build the model with the engine's dt")
+    if lib is not None and math.isfinite(cfg.e_res_max):
+        lib.get(cfg.split_n, cfg.split_sigma)
     frames = []
     current = initial
     for _ in range(cfg.n_steps):

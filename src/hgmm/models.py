@@ -483,16 +483,18 @@ class BicycleModel(DynamicsModel):
 
         ``Polyline.reaches`` projects only the rows that may be that far along.
         """
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
         line = self._seg_lines[alpha]
-        return line.reaches(xs[:, :2], line.length - 1e-6)
+        return line.reaches(np.asarray(xs, dtype=float)[..., :2], line.length - 1e-6)
 
     # -- continuous dynamics -------------------------------------------------
 
     def control(self, alpha, xs: np.ndarray) -> np.ndarray:
         """Throttle and steering commands for a batch of states (rows)."""
+        return np.column_stack(self._commands(alpha, np.atleast_2d(np.asarray(xs, dtype=float))))
+
+    def _commands(self, alpha, xs: np.ndarray):
+        """``control``'s two columns as arrays, for a 2-D float array of states."""
         cfg = self.config
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
         route = self._routes[alpha]
         s, d = route.project(xs[:, :2])
         target = route.point_at(s + cfg.lookahead)
@@ -512,19 +514,19 @@ class BicycleModel(DynamicsModel):
             log.debug("%d point(s) off network near segment %s; coasting", off.sum(), alpha)
             u1 = np.where(off, 0.0, u1)
             u2 = np.where(off, 0.0, u2)
-        return np.column_stack([u1, u2])
+        return u1, u2
 
     def f_c_batch(self, alpha_next, xs, vs):
         cfg = self.config
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         vs = np.atleast_2d(np.asarray(vs, dtype=float))
-        u = self.control(alpha_next, xs)
+        u1, u2 = self._commands(alpha_next, xs)
         x, y, v, th = xs[:, 0], xs[:, 1], xs[:, 2], xs[:, 3]
         out = np.empty_like(xs)
         out[:, 0] = x + cfg.dt * np.cos(th) * v
         out[:, 1] = y + cfg.dt * np.sin(th) * v
-        out[:, 2] = v + cfg.dt * (u[:, 0] + vs[:, 0])
-        out[:, 3] = th + cfg.dt * cfg.wheel_gain * v * (u[:, 1] + vs[:, 1])
+        out[:, 2] = v + cfg.dt * (u1 + vs[:, 0])
+        out[:, 3] = th + cfg.dt * cfg.wheel_gain * v * (u2 + vs[:, 1])
         return out
 
 

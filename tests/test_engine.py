@@ -38,7 +38,9 @@ from hgmm.models import (
     builtin_network,
     ungm_truth_density,
 )
+from hgmm.sigma import propagate_points, recombine
 from hgmm.splitting import apply_split
+from test_frames import frame_bytes
 
 
 class LinearModel(DynamicsModel):
@@ -270,16 +272,22 @@ class TestStepDiscrete:
             step_discrete(single(Gaussian(np.zeros(1), np.eye(1)), "a"), model)
 
 
-class GateCountingBicycle(BicycleModel):
-    """``BicycleModel`` that records the label of every ``transition_mask`` call."""
+class CountingBicycle(BicycleModel):
+    """``BicycleModel`` that records the label of every ``transition_mask`` call
+    and the label and row count of every ``f_c_batch`` call."""
 
     def __init__(self, network):
         super().__init__(network)
         self.gated = []
+        self.calls = []
 
     def transition_mask(self, alpha, xs):
         self.gated.append(alpha)
         return super().transition_mask(alpha, xs)
+
+    def f_c_batch(self, alpha_next, xs, vs):
+        self.calls.append((alpha_next, len(xs)))
+        return super().f_c_batch(alpha_next, xs, vs)
 
 
 class StayingModel(LinearModel):
@@ -304,10 +312,10 @@ class TestStayOnlyLabels:
 
     def test_stay_only_labels_are_not_gated(self):
         g = Gaussian(np.array([20.0, 0.0, 9.0, 0.0]), np.diag([2.0, 2.0, 2.0, 0.1]))
-        model = GateCountingBicycle(builtin_network("straight"))
+        model = CountingBicycle(builtin_network("straight"))
         mix = single(g, alpha="main")
         assert step_discrete(mix, model) is mix and model.gated == []
-        model = GateCountingBicycle(builtin_network("turn"))
+        model = CountingBicycle(builtin_network("turn"))
         mix = HybridMixture(tuple(HybridMixand(0.25, label, g)
                                   for label in ("exit", "approach", "exit", "turn")))
         step_discrete(mix, model)
@@ -462,6 +470,36 @@ class TestLevelSynchronousStep:
             step_continuous(prior, BICYCLES["turn"], cfg, lib)
         (record,) = [r for r in caplog.records if "depth cap" in r.msg]
         assert type(record.args[1]) is int and record.args[1] == 5
+
+
+class TestLevelWithoutSplits:
+    """A level where nothing splits: one dynamics call per label, over all its rows."""
+
+    CFG = EngineConfig(e_res_max=0.1, max_split_depth=2, normalization="raw")
+
+    def test_one_label_is_one_call_and_equals_the_layers_by_hand(self, lib):
+        model = CountingBicycle(builtin_network("turn"))
+        rng = np.random.default_rng(2)
+        mix = normalize([HybridMixand(float(w), "approach",
+                                      Gaussian(np.array([x, 0.0, 9.0, 0.0]),
+                                               np.diag([0.5, 0.3, 0.4, 0.01])))
+                         for w, x in zip(rng.dirichlet(np.ones(3)), (15.0, 20.0, 25.0))], 6)
+        got = step_continuous(mix, model, self.CFG, lib)
+        assert model.calls == [("approach", 13 * 3)]     # 1 + 2 (n_x + n_v) points each
+        s = generate_sigma_points((mix.means, mix.covs), model.process_noise)
+        means, covs = recombine(propagate_points(s, "approach", model.f_c_batch))
+        want = HybridMixture([HybridMixand(w, "approach", Gaussian(m, c))
+                              for w, m, c in zip(mix.weights.tolist(), means, covs)], 7)
+        assert got.time_index == 7
+        assert frame_bytes(got) == frame_bytes(want)
+
+    def test_three_labels_are_three_calls(self, lib):
+        model = CountingBicycle(builtin_network("intersection"))
+        g = Gaussian(np.array([45.0, 0.0, 9.0, 0.0]), np.diag([0.5, 0.3, 0.4, 0.01]))
+        mix = normalize([HybridMixand(0.25, label, g)
+                         for label in ("left", "straight", "left", "right")])
+        assert len(step_continuous(mix, model, self.CFG, lib)) == 4
+        assert model.calls == [("left", 26), ("straight", 13), ("right", 13)]
 
 
 class TestClosedFormFit:
@@ -670,6 +708,20 @@ class TestAnticipate:
         model = BicycleModel(builtin_network("turn"), BicycleConfig(dt=0.2))
         assert model.dt == 0.2 and LinearModel(np.eye(1)).dt is None
         assert len(anticipate(prior, model, cfg)) == 2
+
+    @pytest.mark.parametrize("normalization", ["raw", "scaled"])
+    def test_missing_split_entry_fails_before_the_first_step(self, normalization, lib):
+        model = CountingBicycle(builtin_network("turn"))
+        prior = single(Gaussian(np.array([20.0, 0.0, 9.0, 0.0]), np.diag([2.0, 2.0, 2.0, 0.1])),
+                       alpha="approach")
+        cfg = EngineConfig(split_sigma=0.35, normalization=normalization)
+        with pytest.raises(KeyError, match="sigma=0.35"):
+            anticipate(prior, model, cfg, lib)
+        assert model.calls == []
+        # Without a library, or with splitting off, the entry is never looked up.
+        assert len(anticipate(prior, model, cfg)) == cfg.n_steps
+        off = EngineConfig(split_sigma=0.35, normalization=normalization, e_res_max=math.inf)
+        assert len(anticipate(prior, model, off, lib)) == off.n_steps
 
     def test_threads_other_than_one_rejected(self):
         model = LinearModel(np.eye(1))

@@ -151,8 +151,23 @@ class TestArrayNormalize:
     def test_normalized_frame_is_returned_unchanged(self, rng):
         weights, means, covs, labels = random_frame_arrays(rng, 6, 3)
         frame = normalize((weights, means, covs, labels), 4)
+        assert sum(frame.weights.tolist()) == 1.0
+        assert normalize(frame, 4) is frame
         assert normalize(frame, 4, weight_floor=1e-6) is frame
-        assert normalize(frame, 5) is not frame
+        assert normalize(frame, 4, weight_floor=float(frame.weights.min())) is frame
+        moved = normalize(frame, 5)
+        assert moved is not frame and moved.time_index == 5
+        assert frame_bytes(moved) == frame_bytes(frame)
+
+    def test_exact_sum_still_drops_a_weight_under_the_floor(self, rng):
+        # Sums to exactly 1 left to right; only the last weight is under the floor.
+        weights = np.array([0.5, 0.25, 0.125, 0.125 - 2.0**-20, 2.0**-20])
+        _, means, covs, labels = random_frame_arrays(rng, 5, 2)
+        frame = normalize((weights, means, covs, labels), 4)
+        assert frame.weights.tolist() == weights.tolist()
+        got = normalize(frame, 4, weight_floor=1e-3)
+        assert got is not frame and len(got) == 4
+        assert frame_bytes(got) == frame_bytes(reference_normalize(frame.mixands, 4, 1e-3))
 
 
 class TestMixandsView:
