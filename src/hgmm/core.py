@@ -129,7 +129,7 @@ def _stack(mixands: Sequence[HybridMixand]) -> tuple:
 
 def _frame(weights, means, covs, labels, time_index) -> HybridMixture:
     """Frame on arrays taken as they are: the caller vouches for its rows and its weight sum."""
-    if not (weights > 0).all():
+    if not weights.min(initial=math.inf) > 0:     # NaN fails too; an empty frame passes
         raise ValueError("mixand weights must be positive")
     for array in (weights, means, covs):
         array.setflags(write=False)

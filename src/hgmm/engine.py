@@ -127,23 +127,30 @@ def step_discrete(mix: HybridMixture, model: DynamicsModel) -> HybridMixture:
     """Fan each mixand out over its possible next discrete states.
 
     A mixand leaves its state when ``transition_mask`` flags its mean; the
-    means of all mixands with one label go through one call.  A label whose
-    only option is to stay, ``[(alpha, 1.0)]``, is not gated, since moving
-    would keep it and its weight.  The fan-out is not renormalized:
+    means of all mixands with one label go through one call, and a frame
+    of one label passes its whole ``means``, with no row index.  A label
+    whose only option is to stay, ``[(alpha, 1.0)]``, is not gated, since
+    moving would keep it and its weight.  The fan-out is not renormalized:
     successor probabilities must be non-negative and sum to 1 within 1e-9,
     else ``ValueError`` names the label; these checks, and
     ``NoSuccessorError`` for a label with no successors, apply once some
     mixand leaves.  ``mix`` itself is returned when no mixand changes.
     """
+    labels = dict.fromkeys(mix.labels)
     moved = np.zeros(len(mix), dtype=bool)
     succ = {}
-    for alpha in dict.fromkeys(mix.labels):
+    for alpha in labels:
         succ[alpha] = model.successor_options(alpha)
         if succ[alpha] == [(alpha, 1.0)]:
             continue
-        rows = [i for i, label in enumerate(mix.labels) if label == alpha]
-        moved[rows] = model.transition_mask(alpha, mix.means[rows])
-        if moved[rows].any():
+        if len(labels) == 1:
+            moved[:] = model.transition_mask(alpha, mix.means)
+            leaving = moved
+        else:
+            rows = [i for i, label in enumerate(mix.labels) if label == alpha]
+            moved[rows] = model.transition_mask(alpha, mix.means[rows])
+            leaving = moved[rows]
+        if leaving.any():
             if not succ[alpha]:
                 raise NoSuccessorError(f"discrete state {alpha!r} has no successors")
             for alpha_next, p in succ[alpha]:
@@ -186,9 +193,11 @@ def step_continuous(
     QR of ``assess_linearity``: no factorization per level, and rank
     deficiency is read off the sets' own spread (see its docstring).
     A level of one label keeps its dynamics output as it is, and a level
-    where nothing splits recombines it whole, with no gathers.  Splits
-    conserve weight and ``recombine`` makes valid rows from finite points,
-    so the output frame is neither renormalized nor checked.
+    where nothing splits recombines it whole, with no gathers; when that is
+    the first level, the output keeps the input's rows in order, and so its
+    ``labels`` tuple.  Splits conserve weight and ``recombine`` makes valid
+    rows from finite points, so the output frame is neither renormalized
+    nor checked.
     """
     assess = lib is not None and math.isfinite(cfg.e_res_max)
     index: dict = {}    # label -> code; ``names`` maps a code back to its label
@@ -220,11 +229,11 @@ def step_continuous(
         if assess:
             fit = _symmetric_fit(sigma_set.state_block(), propagated[:, : 1 + 2 * model.n_x],
                                  covs, cfg.normalization, cfg.e_res_max)
-            if depth < cfg.max_split_depth:
-                split = ~fit.passed
-            else:
+            if depth == cfg.max_split_depth:
                 depth_capped = int(np.count_nonzero(~fit.passed))
-        if split is None or not split.any():
+            elif not fit.passed.all():
+                split = ~fit.passed
+        if split is None:
             out.append((paths, weights, code, *recombine(propagated)))
             break
         kept = np.flatnonzero(~split)
@@ -243,6 +252,9 @@ def step_continuous(
     if depth_capped:
         log.warning("split depth cap %d reached for %d mixand(s) at step %d; recombined anyway",
                     cfg.max_split_depth, depth_capped, mix.time_index + 1)
+    if depth == 0:      # nothing split: the input's rows, in order
+        _, weights, _, means, covs = out[0]
+        return _frame(weights, means, covs, mix.labels, mix.time_index + 1)
     if len(out) == 1:   # the rows of one depth are in path order already
         _, weights, code, means, covs = out[0]
     else:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,8 +159,7 @@ def _normalized(e_raw: np.ndarray, m: int, prior_cov, normalization: str) -> np.
     raise ValueError(f"unknown normalization mode {normalization!r}")
 
 
-@dataclass(frozen=True)
-class _SymmetricFit:
+class _SymmetricFit(NamedTuple):
     """Affine fit of a stack of M symmetric sigma sets, as ``_symmetric_fit`` returns it."""
 
     e_res: np.ndarray           # (M,) threshold-comparable residual
@@ -185,7 +185,9 @@ def _symmetric_fit(pre: np.ndarray, post: np.ndarray, prior_cov: np.ndarray,
     the raw residual is sqrt(tr(B^T G^-1 B)), and row j of G^-1 B is the
     residual of points +j and -j; the center's adds nothing to the moment,
     which is centred on x0.  Nothing is factored, so the result does not
-    depend on how well the set is conditioned.
+    depend on how well the set is conditioned.  ``pre`` and ``post`` are
+    taken in C order first: the sums round in an order set by the layout,
+    so the same values in any layout give the same bits.
 
     Rank rule: a set is rank-deficient when its smallest |s_jj| is at most
     1e-12 times the largest, or than 1 if the largest is below 1.  For a
@@ -198,13 +200,14 @@ def _symmetric_fit(pre: np.ndarray, post: np.ndarray, prior_cov: np.ndarray,
     are sqrt(2) |s_jj| and, for the ones row, sqrt(2 n_x + 1), which sets
     its scale when the spread is small.
     """
+    pre, post = np.ascontiguousarray(pre), np.ascontiguousarray(post)
     n_x = pre.shape[-1]
     centred = pre[:, 1:] - pre[:, :1]
     b = post[:, 1 : 1 + n_x] + post[:, 1 + n_x :] - 2.0 * post[:, :1]
     residuals = 0.5 * b - b.sum(axis=1, keepdims=True) / (2 * n_x + 1)
     e_raw = np.sqrt((b * residuals).sum(axis=(1, 2)))
-    pivots = np.abs(np.diagonal(centred, axis1=1, axis2=2))
-    rank_deficient = pivots.min(axis=1) <= _RANK_TOL * np.maximum(pivots.max(axis=1), 1.0)
+    pivots = np.abs(centred.diagonal(axis1=1, axis2=2))
+    rank_deficient = pivots.min(axis=1) <= _RANK_TOL * pivots.max(axis=1, initial=1.0)
     e_res = _normalized(e_raw, 2 * n_x + 1, prior_cov, normalization)
     return _SymmetricFit(e_res, rank_deficient | (e_res <= e_res_max), rank_deficient,
                          centred, residuals)

@@ -227,7 +227,11 @@ def _cells(x, y, px, py, dx, dy, seg_len):
     ty = y - py
     ty *= dy
     t += ty
-    np.clip(t, 0.0, seg_len, out=t)
+    # np.clip(t, 0.0, seg_len) without its dispatch cost.  Where the two
+    # could differ, in the sign of a zero t, no result does: every use of t
+    # adds it to a coordinate or to an arclength.
+    np.maximum(t, 0.0, out=t)
+    np.minimum(t, seg_len, out=t)
     ex = t * dx
     ex += px
     ex -= x
@@ -237,6 +241,12 @@ def _cells(x, y, px, py, dx, dy, seg_len):
     ex *= ex
     ex += np.square(ey, out=ey)
     return t, np.sqrt(ex, out=ex)
+
+
+def _as_rows(a) -> np.ndarray:
+    """``a`` as a float array of at least two dimensions; a 2-D float array is ``a`` itself."""
+    a = np.asarray(a, dtype=float)
+    return a if a.ndim == 2 else np.atleast_2d(a)
 
 
 class Polyline:
@@ -252,6 +262,8 @@ class Polyline:
         self.dirs = d / self.seg_len[:, None]
         self.cum = np.concatenate([[0.0], np.cumsum(self.seg_len)])
         self.length = float(self.cum[-1])
+        # `reaches`' operands as floats: cum[-2], then the last segment's start and direction.
+        self._last_piece = (float(self.cum[-2]), *self.points[-2].tolist(), *self.dirs[-1].tolist())
         self._init_blocks()
 
     def _init_blocks(self):
@@ -273,9 +285,12 @@ class Polyline:
         self._extent = float(np.abs(self.points).max() + self.seg_len.max())
 
     def point_at(self, s):
+        s = np.asarray(s, dtype=float)
+        if s.ndim == 0:
+            s = s.reshape(1)
         # np.clip's result bit for bit, signed zeros included, without its
         # dispatch cost on small batches.
-        s = np.minimum(self.length, np.maximum(0.0, np.atleast_1d(np.asarray(s, dtype=float))))
+        s = np.minimum(self.length, np.maximum(0.0, s))
         idx = np.minimum(len(self.seg_len) - 1,
                          np.maximum(0, np.searchsorted(self.cum, s, side="right") - 1))
         local = s - self.cum[idx]
@@ -300,7 +315,7 @@ class Polyline:
         therefore always computed, and the first-index minimum over the
         computed cells equals the dense one, ties included.
         """
-        xy = np.atleast_2d(np.asarray(xy, dtype=float))
+        xy = _as_rows(xy)
         # The magnitude test keeps every square finite; NaN and inf fail it too.
         if (len(xy) < _PRUNE_MIN_ROWS or len(self.seg_len) <= _BLOCK_SEGMENTS
                 or not np.abs(xy).max() + self._extent < 1e150):
@@ -322,19 +337,17 @@ class Polyline:
         NaN and inf rows included, so a row's result does not depend on the
         rest of the batch.
         """
-        xy = np.atleast_2d(np.asarray(xy, dtype=float))
-        base = self.cum[-2]
+        xy = _as_rows(xy)
+        base, px, py, dx, dy = self._last_piece
         if not s_min > base:
             return self.project(xy)[0] >= s_min
-        px, py = self.points[-2]
-        dx, dy = self.dirs[-1]
         s = xy[:, 0] - px
         s *= dx
         ty = xy[:, 1] - py
         ty *= dy
         s += ty
         s += base
-        near = np.flatnonzero(~(s < s_min))
+        near = (~(s < s_min)).nonzero()[0]
         out = np.zeros(len(xy), dtype=bool)
         if near.size:
             out[near] = self.project(xy.take(near, axis=0))[0] >= s_min
@@ -490,23 +503,24 @@ class BicycleModel(DynamicsModel):
 
     def control(self, alpha, xs: np.ndarray) -> np.ndarray:
         """Throttle and steering commands for a batch of states (rows)."""
-        return np.column_stack(self._commands(alpha, np.atleast_2d(np.asarray(xs, dtype=float))))
+        return np.column_stack(self._commands(alpha, _as_rows(xs)))
 
     def _commands(self, alpha, xs: np.ndarray):
         """``control``'s two columns as arrays, for a 2-D float array of states."""
         cfg = self.config
         route = self._routes[alpha]
+        x, y, v, heading = xs.T
         s, d = route.project(xs[:, :2])
         target = route.point_at(s + cfg.lookahead)
-        dx = target[:, 0] - xs[:, 0]
-        dy = target[:, 1] - xs[:, 1]
+        dx = target[:, 0] - x
+        dy = target[:, 1] - y
         # np.linalg.norm's and np.clip's results bit for bit (as in `Polyline.point_at`):
         # a sum of two terms has one rounding whatever its order.
         dist = np.maximum(np.sqrt(dx * dx + dy * dy), 1e-6)
-        bearing = np.arctan2(dy, dx)
-        err = np.arctan2(np.sin(bearing - xs[:, 3]), np.cos(bearing - xs[:, 3]))
+        off_course = np.arctan2(dy, dx) - heading
+        err = np.arctan2(np.sin(off_course), np.cos(off_course))
         curvature = 2.0 * np.sin(err) / dist
-        u1 = np.minimum(cfg.a_max, np.maximum(-cfg.a_max, cfg.k_v * (cfg.v_target - xs[:, 2])))
+        u1 = np.minimum(cfg.a_max, np.maximum(-cfg.a_max, cfg.k_v * (cfg.v_target - v)))
         u2 = np.minimum(cfg.u2_max, np.maximum(-cfg.u2_max, curvature / cfg.wheel_gain))
         half_w = self.network.segments[alpha].half_width
         off = d > cfg.off_network_factor * half_w
@@ -517,16 +531,20 @@ class BicycleModel(DynamicsModel):
         return u1, u2
 
     def f_c_batch(self, alpha_next, xs, vs):
+        """One Euler step of every state row under its commands and noise row.
+
+        2-D float arrays, as the engine and the oracle pass, are used as
+        they are, with no conversion; anything else is converted first.
+        """
         cfg = self.config
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        vs = np.atleast_2d(np.asarray(vs, dtype=float))
+        xs, vs = _as_rows(xs), _as_rows(vs)
         u1, u2 = self._commands(alpha_next, xs)
-        x, y, v, th = xs[:, 0], xs[:, 1], xs[:, 2], xs[:, 3]
-        out = np.empty_like(xs)
-        out[:, 0] = x + cfg.dt * np.cos(th) * v
-        out[:, 1] = y + cfg.dt * np.sin(th) * v
-        out[:, 2] = v + cfg.dt * (u1 + vs[:, 0])
-        out[:, 3] = th + cfg.dt * cfg.wheel_gain * v * (u2 + vs[:, 1])
+        x, y, v, th = xs.T
+        out = np.empty(xs.shape)
+        np.add(x, cfg.dt * np.cos(th) * v, out=out[:, 0])
+        np.add(y, cfg.dt * np.sin(th) * v, out=out[:, 1])
+        np.add(v, cfg.dt * (u1 + vs[:, 0]), out=out[:, 2])
+        np.add(th, cfg.dt * cfg.wheel_gain * v * (u2 + vs[:, 1]), out=out[:, 3])
         return out
 
 

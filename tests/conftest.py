@@ -24,3 +24,15 @@ def random_spd():
         return q @ np.diag(rng.uniform(lo, hi, n)) @ q.T
 
     return make
+
+
+@pytest.fixture
+def layouts():
+    """Factory for copies of an array in C order, in F order and as a strided view."""
+
+    def make(a):
+        spaced = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+        spaced[..., ::2] = a
+        return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a), "strided": spaced[..., ::2]}
+
+    return make

@@ -34,6 +34,8 @@ from hgmm.linearity import _normalized, _symmetric_fit
 from hgmm.models import (
     BicycleConfig,
     BicycleModel,
+    RoadNetwork,
+    RoadSegment,
     UngmModel,
     builtin_network,
     ungm_truth_density,
@@ -351,6 +353,63 @@ class TestStayOnlyLabels:
         assert step_discrete(mix, model) is mix
 
 
+def _step_discrete_per_label(mix, model):
+    """The fan-out with each label's means gated in one call, over a list of its rows."""
+    moved = np.zeros(len(mix), dtype=bool)
+    for alpha in dict.fromkeys(mix.labels):
+        rows = [i for i, label in enumerate(mix.labels) if label == alpha]
+        moved[rows] = model.transition_mask(alpha, mix.means[rows])
+    out = []
+    for w, alpha, mean, cov, leaves in zip(mix.weights.tolist(), mix.labels, mix.means,
+                                           mix.covs, moved.tolist()):
+        options = model.successor_options(alpha) if leaves else [(alpha, 1.0)]
+        out.extend(HybridMixand(w * p, alpha_next, Gaussian._unchecked(mean, cov))
+                   for alpha_next, p in options if p > 0.0)
+    return HybridMixture(out, mix.time_index)
+
+
+def _along_x(label_and_x):
+    """Equal-weight frame of mixands heading east at the given (label, x), on y = 0."""
+    cov = np.diag([0.5, 0.3, 0.4, 0.01])
+    return normalize([HybridMixand(1.0, label, Gaussian(np.array([x, 0.0, 9.0, 0.0]), cov))
+                      for label, x in label_and_x])
+
+
+class TestGatePerLabel:
+    """``step_discrete`` gates each label once; a frame of one label passes all its means."""
+
+    def test_one_label_gated_for_some_rows_matches_the_per_label_reference(self):
+        # The intersection's approach ends at x = 40: the mixands at 41 and 45
+        # fan out three ways, those at 20 and 30 stay.
+        model = CountingBicycle(builtin_network("intersection"))
+        mix = _along_x([("approach", x) for x in (20.0, 41.0, 30.0, 45.0)])
+        got = step_discrete(mix, model)
+        assert model.gated == ["approach"]
+        assert got.labels == ("approach", "left", "straight", "right", "approach",
+                              "left", "straight", "right")
+        assert frame_bytes(got) == frame_bytes(_step_discrete_per_label(mix, model))
+
+    def test_one_stay_only_label_is_not_gated(self):
+        model = CountingBicycle(builtin_network("turn"))
+        mix = _along_x([("exit", 46.0), ("exit", 60.0)])
+        assert step_discrete(mix, model) is mix and model.gated == []
+
+    def test_three_labels_make_one_gate_call_each(self):
+        # A chain a -> b -> c -> d of 10 m segments along y = 0; d has no
+        # successor, so it is not gated.
+        ends = {"a": (0.0, 10.0), "b": (10.0, 20.0), "c": (20.0, 30.0), "d": (30.0, 40.0)}
+        network = RoadNetwork([RoadSegment(label, np.array([[x0, 0.0], [x1, 0.0]]), 2.0, succ)
+                               for (label, (x0, x1)), succ
+                               in zip(ends.items(), [("b",), ("c",), ("d",), ()])])
+        model = CountingBicycle(network)
+        mix = _along_x([("a", 5.0), ("b", 25.0), ("a", 10.5), ("c", 31.0), ("d", 45.0),
+                        ("b", 12.0)])
+        got = step_discrete(mix, model)
+        assert model.gated == ["a", "b", "c"]
+        assert got.labels == ("a", "c", "b", "d", "d", "b")
+        assert frame_bytes(got) == frame_bytes(_step_discrete_per_label(mix, model))
+
+
 class TestStepContinuous:
     def test_linear_model_matches_kalman_prediction(self):
         a = np.array([[0.8, 0.2], [0.0, 1.1]])
@@ -599,6 +658,20 @@ class TestClosedFormFit:
         fit = _symmetric_fit(pre, post, prior.covs, "raw", 0.0)
         assert report.rank_deficient.tolist() == [qr_deficient]
         assert fit.rank_deficient.tolist() == [fit_deficient]
+
+    @pytest.mark.parametrize("normalization", ["raw", "scaled"])
+    def test_same_values_in_any_layout_give_the_same_bits(self, normalization, layouts):
+        # The fit's sums round in an order set by the layout of its inputs;
+        # it takes them in C order first, so only the values count.
+        rng = np.random.default_rng(8)
+        mix = step_discrete(random_prior(rng, 20, "turn"), BICYCLES["turn"])
+        pre, post = (np.ascontiguousarray(a) for a in _stacked_sets(mix, BICYCLES["turn"]))
+        want = _symmetric_fit(pre, post, mix.covs, normalization, 0.1)
+        pres, posts, covs = layouts(pre), layouts(post), layouts(mix.covs)
+        for name in pres:
+            got = _symmetric_fit(pres[name], posts[name], covs[name], normalization, 0.1)
+            for field in ("e_res", "passed", "rank_deficient", "centred", "residuals"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (name, field)
 
     def test_singular_noise_free_covariance_is_rank_deficient(self, lib):
         # No variance in x0, where the model bends: the eigen path's zero

@@ -85,6 +85,19 @@ class TestGeneration:
         spread = np.sqrt(3.0) * noise.sqrt.T
         assert np.array_equal(s.noise_points[1 + 2 * n_x :], np.vstack([spread, -spread]))
 
+    def test_state_points_are_one_c_contiguous_array(self, rng, random_spd):
+        # recombine and the affine fit round by layout, so the set's is fixed.
+        noise = ProcessNoise(np.diag([0.25, 0.01]))
+        for m in (1, 3):
+            means = rng.normal(size=(m, 4))
+            covs = np.stack([random_spd(rng, 4) for _ in range(m)])
+            s = generate_sigma_points((means, covs), noise)
+            assert s.state_points.flags.c_contiguous and s.state_points.shape == (m, 13, 4)
+            for i in range(m):
+                one = generate_sigma_points(Gaussian(means[i], covs[i]), noise)
+                assert one.state_points.flags.c_contiguous
+                assert np.array_equal(one.state_points, s.state_points[i])
+
     def test_noise_rows_are_built_once_and_read_only(self):
         noise = ProcessNoise(np.diag([0.25, 0.01]))
         g = Gaussian(np.zeros(4), np.eye(4))
@@ -158,6 +171,19 @@ class TestRecombination:
         assert (np.linalg.eigvalsh(covs)[:, 0] >= -1e-12 * trace).all()
         one = recombine(points[0])
         assert np.array_equal(one.cov, covs[0]) and np.array_equal(one.mean, means[0])
+
+    def test_same_values_in_any_layout_give_the_same_bits(self, layouts):
+        # A matmul and its sums round in an order set by the operands' layout;
+        # recombine takes C order first, so only the values count.
+        rng = np.random.default_rng(3)
+        points = rng.normal(size=(20, 13, 4)) * [1.0, 0.5, 0.4, 0.1] + [20.0, 0.0, 9.0, 0.0]
+        want_means, want_covs = recombine(np.ascontiguousarray(points))
+        for name, copy in layouts(points).items():
+            means, covs = recombine(copy)
+            assert means.tobytes() == want_means.tobytes(), name
+            assert covs.tobytes() == want_covs.tobytes(), name
+            one = recombine(copy[0])
+            assert one.cov.tobytes() == want_covs[0].tobytes(), name
 
     def test_unpropagated_roundtrip(self, rng, random_spd):
         g = Gaussian(rng.normal(size=3), random_spd(rng, 3))
