@@ -27,7 +27,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .benchmark import BENCHMARK_MODELS, run_benchmark
+from .benchmark import BENCHMARK_MODELS, run_benchmark, split_config
 from .core import Gaussian, HybridMixand, HybridMixture
 from .engine import EngineConfig, anticipate
 from .errors import (
@@ -141,8 +141,10 @@ def cmd_optimize_split(args, parser) -> int:
 def cmd_benchmark(args, parser) -> int:
     if args.samples <= 0:
         parser.error("--samples must be positive")
-    if not args.e_res_max >= 0.0:
-        parser.error("--e-res-max must be non-negative or inf")
+    try:
+        split_config(args.split_n, args.split_sigma, args.e_res_max, args.max_depth)
+    except ValueError as exc:
+        parser.error(str(exc))
     lib = None
     if not args.no_split:
         lib = _split_library(args.cache, (args.split_n, args.split_sigma))
@@ -169,14 +171,15 @@ def cmd_benchmark(args, parser) -> int:
             f"KLD mean={res.split_kld.mean():.4f} std={res.split_kld.std():.4f} "
             f"ratio={res.split_kld.mean() / res.no_split_kld.mean():.4f}"
         )
-    print(f"pearson(e_res, no-split KLD)={res.correlation:.4f}")
+    corr = f"{res.correlation:.4f}" if res.samples >= 3 else "n/a"   # pearson needs 3
+    print(f"pearson(e_res, no-split KLD)={corr}")
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             cols = [c for c in (res.e_res, res.no_split_kld, res.split_kld) if c is not None]
             w.writerow(["sample", "e_res", "kld_no_split", "kld_split"][: 1 + len(cols)])
-            for i in range(res.samples):
-                w.writerow([i] + [repr(c[i]) for c in cols])
+            for i, row in enumerate(zip(*(c.tolist() for c in cols))):
+                w.writerow([i, *map(repr, row)])
     return EXIT_OK
 
 

@@ -6,13 +6,15 @@ worst fit becomes the splitting axis.
 
 Two paths compute it:
 
-* ``assess_linearity``, the generic path, takes any raw point set and
-  projects it through an LQ factorization of the augmented pre-point
-  matrix, so that neither A nor b is ever materialized.
-* ``_symmetric_fit``, the engine's path, takes the symmetric sets of
-  ``generate_sigma_points`` and needs no factorization: for a set
-  x0, x0 + s_j, x0 - s_j the vectors e_{+j} + e_{-j} - 2 e_0 span the null
-  space of the augmented points, so the residual has a closed form.
+* ``assess_linearity``, the generic public path, takes any raw point set
+  and projects it through an LQ factorization of the augmented pre-point
+  matrix, so that neither A nor b is ever materialized.  No module of the
+  package calls it.
+* ``_symmetric_fit``, the path of the engine and of the univariate
+  benchmark, takes the symmetric sets of ``generate_sigma_points`` and
+  needs no factorization: for a set x0, x0 + s_j, x0 - s_j the vectors
+  e_{+j} + e_{-j} - 2 e_0 span the null space of the augmented points, so
+  the residual has a closed form.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ class LinearityReport:
     """
 
     e_res: float                 # threshold-comparable residual (per normalization mode)
-    e_res_raw: float             # raw Frobenius-norm residual
     point_residuals: np.ndarray  # n_x x (2 n_x + 1), column j = residual of point j
     passed: bool
     rank_deficient: bool
@@ -133,9 +134,9 @@ def assess_linearity(
     e_res = _normalized(e_raw, m, prior_cov, normalization)
     passed = rank_deficient | (e_res <= e_res_max)
     if single:
-        return LinearityReport(float(e_res[0]), float(e_raw[0]), point_residuals[0],
-                               bool(passed[0]), bool(rank_deficient[0]), moment[0])
-    return LinearityReport(e_res, e_raw, point_residuals, passed, rank_deficient, moment)
+        return LinearityReport(float(e_res[0]), point_residuals[0], bool(passed[0]),
+                               bool(rank_deficient[0]), moment[0])
+    return LinearityReport(e_res, point_residuals, passed, rank_deficient, moment)
 
 
 def _residual_moment(centred: np.ndarray, norms: np.ndarray) -> np.ndarray:

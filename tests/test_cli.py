@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hgmm import cli
+from hgmm.benchmark import run_benchmark
 from hgmm.serialize import to_json
 
 LIB_PATH = str(files("hgmm.data") / "split_library.json")
@@ -141,6 +142,31 @@ class TestBenchmark:
             rows = list(csv.reader(fh))
         assert rows[0] == ["sample", "e_res", "kld_no_split"]
         assert len(rows) == 4
+
+    def test_csv_holds_the_benchmarks_values_exactly(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert run_cli("benchmark", "--model", "ungm", "--samples", "3", "--seed", "1",
+                       "--no-split", "--out", str(out)) == 0
+        res = run_benchmark("ungm", 3, 1)
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [[float(cell) for cell in row[1:]] for row in rows] == \
+            np.column_stack([res.e_res, res.no_split_kld]).tolist()
+
+    @pytest.mark.parametrize("samples", ["1", "2"])
+    def test_fewer_than_three_samples_have_no_correlation(self, capsys, samples):
+        assert run_cli("benchmark", "--model", "ungm", "--samples", samples) == 0
+        assert "pearson(e_res, no-split KLD)=n/a" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, setting", [
+        (["--max-depth", "-1"], "max_split_depth"),
+        (["--max-depth", "-1", "--no-split"], "max_split_depth"),
+        (["--e-res-max", "-0.1", "--no-split"], "e_res_max"),
+    ])
+    def test_setting_the_engine_rejects_is_usage_error(self, capsys, flag, setting):
+        assert run_cli("benchmark", "--model", "ungm", "--samples", "3", *flag) == 2
+        captured = capsys.readouterr()
+        assert setting in captured.err and not captured.out
 
 
 class TestRun:
