@@ -150,16 +150,31 @@ def cmd_benchmark(args, parser) -> int:
         lib = _split_library(args.cache, (args.split_n, args.split_sigma))
         if lib is None:
             return EXIT_CACHE
-    res = run_benchmark(
-        args.model,
-        args.samples,
-        args.seed,
-        lib,
-        split_n=args.split_n,
-        split_sigma=args.split_sigma,
-        e_res_max=args.e_res_max,
-        max_split_depth=args.max_depth,
-    )
+    # The engine's split-depth-cap warnings are summed on one line below,
+    # not logged: each prior takes one step, so each warning is one prior.
+    capped = []
+
+    def count_capped(record) -> bool:
+        if record.msg.startswith("split depth cap"):
+            capped.append(record.args[1])
+            return False
+        return True
+
+    engine_log = logging.getLogger("hgmm.engine")
+    engine_log.addFilter(count_capped)
+    try:
+        res = run_benchmark(
+            args.model,
+            args.samples,
+            args.seed,
+            lib,
+            split_n=args.split_n,
+            split_sigma=args.split_sigma,
+            e_res_max=args.e_res_max,
+            max_split_depth=args.max_depth,
+        )
+    finally:
+        engine_log.removeFilter(count_capped)
     print(
         f"model={res.model} samples={res.samples} seed={res.seed} "
         f"no-split KLD mean={res.no_split_kld.mean():.4f} "
@@ -171,6 +186,9 @@ def cmd_benchmark(args, parser) -> int:
             f"KLD mean={res.split_kld.mean():.4f} std={res.split_kld.std():.4f} "
             f"ratio={res.split_kld.mean() / res.no_split_kld.mean():.4f}"
         )
+    if capped:
+        print(f"split depth cap {args.max_depth} reached for {len(capped)} of {res.samples} "
+              f"priors, {sum(capped)} mixand(s) in all; recombined anyway")
     corr = f"{res.correlation:.4f}" if res.samples >= 3 else "n/a"   # pearson needs 3
     print(f"pearson(e_res, no-split KLD)={corr}")
     if args.out:

@@ -7,6 +7,13 @@ construction.  The public constructors, and ``normalize`` given anything
 but a frame, validate what they are given, one vectorised check per frame;
 frames built inside the engine hold rows that are valid by construction
 and are not checked again.
+
+Importing this module loads NumPy only.  SciPy, whose import takes about
+0.3 s, is loaded on first use by the two functions that need its bits:
+``gaussian_logpdf`` (so ``isd_terms`` and the evaluation metrics) and
+``eigh``, the eigen fallback of ``matrix_sqrt`` for a covariance that is
+not positive definite.  The engine needs neither on positive definite
+covariances.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cholesky, eigh, solve_triangular
 
 from .errors import (
     DimensionMismatchError,
@@ -251,7 +257,7 @@ class ProcessNoise:
         if cov.shape[0] > 0:
             _check_symmetric(cov)
             try:
-                cholesky(cov, lower=True)
+                np.linalg.cholesky(cov)
             except np.linalg.LinAlgError as exc:
                 raise IndefiniteMatrixError("process noise must be positive definite") from exc
         sqrt = matrix_sqrt(cov)
@@ -324,6 +330,13 @@ def _factor(cov: np.ndarray) -> np.ndarray:
     return v * np.sqrt(w)
 
 
+def eigh(a: np.ndarray) -> tuple:
+    """``scipy.linalg.eigh(a)``: eigenvalues ascending and eigenvectors of a symmetric matrix."""
+    from scipy.linalg import eigh
+
+    return eigh(a)
+
+
 NO_NOISE = ProcessNoise(np.zeros((0, 0)))
 
 
@@ -339,6 +352,8 @@ def gaussian_logpdf(mean: np.ndarray, cov: np.ndarray, xs: np.ndarray) -> np.nda
     summation reorders that sum, and the two differ by up to about 2e-16
     relative.
     """
+    from scipy.linalg import cholesky, solve_triangular
+
     n = mean.shape[0]
     sym = symmetrize(cov)
     try:

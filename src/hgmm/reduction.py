@@ -15,18 +15,19 @@ mu_k``) of the moment-matched covariance, which needs neither the merged
 mean nor a symmetrize.  One kernel, ``_pair_costs``, computes every cost,
 with the log-determinants of a whole batch of pairs in one ``slogdet``
 call.  The matrix is filled once per call.  A merge writes its product,
-from ``_merged_moments``, into the lower slot ``i`` and retires slot
-``j``, so the alive slots keep the input order.  One kernel call then
-costs slot i against its alive same-label partners, and its ``slogdet``
-call also takes slot i's new covariance.  Each row's minimum is cached, so
-finding the next merge scans M values rather than M^2 cells; a merge
-rescans only the rows whose minimum sat on slot i or j and those whose new
-cell is at most their cached minimum.  Costs within a relative band of the
-least one are tied, and ties go to the lowest ``(i, j)``: mirror-image
-split children give costs that are equal in exact arithmetic, and the
-result depends neither on object identity nor on how their last bit
-rounds.  The matrix takes 8 M^2 bytes: 80 KB at the 100 mixands of a
-split-heavy step, 115 MB at 3800.
+``_merged_moments``' arithmetic on Python floats, into the lower slot
+``i`` and retires slot ``j``, so the alive slots keep the input order.
+One kernel call then costs slot i against its alive same-label partners,
+and its ``slogdet`` call also takes slot i's new covariance, stacked with
+the merged ones in a buffer allocated once per reduction.  Each row's
+minimum is cached, so finding the next merge scans M values rather than
+M^2 cells; a merge rescans only the rows whose minimum sat on slot i or j
+and those whose new cell is at most their cached minimum.  Costs within a
+relative band of the least one are tied, and ties go to the lowest
+``(i, j)``: mirror-image split children give costs that are equal in exact
+arithmetic, and the result depends neither on object identity nor on how
+their last bit rounds.  The matrix takes 8 M^2 bytes: 80 KB at the 100
+mixands of a split-heavy step, 115 MB at 3800.
 """
 
 from __future__ import annotations
@@ -46,11 +47,16 @@ log = logging.getLogger(__name__)
 # cells that hold no pair, which stay at +inf.
 _COST_MAX = np.finfo(float).max
 # Pair costs computed per batched call when filling the matrix.  Bounds the
-# memory held by the stacked covariances (128 KiB per 4x4 stack).  Filling
-# 100 mixands of one label with 4x4 covariances took a median 2.4-2.7 ms at
-# 256, 512 and 1024 pairs per call, equal within the run-to-run spread, and
-# 3.2-3.3 ms at 2048 and 4096 (2-core host).
-_CHUNK = 1024
+# memory held by the stacked covariances: 64 KiB per 4x4 stack at 512.  At
+# 1024 a stack is 128 KiB, exactly glibc malloc's default mmap threshold,
+# and unless an earlier large allocation has raised that threshold (SciPy's
+# import did) the fill's temporaries cost about 1,165 page faults and
+# 2.8 ms of system time per split_heavy call; at 512, about 0.5 faults.
+# Filling 100 mixands of one label with 4x4 covariances took a median
+# 2.4-2.7 ms at 256, 512 and 1024 pairs per call, equal within the
+# run-to-run spread, and 3.2-3.3 ms at 2048 and 4096 (2-core host).  Every
+# pair cost is elementwise in its pair, so the chunk size changes no bit.
+_CHUNK = 512
 # Cost-matrix cells handled per block when filling or rescanning rows, so
 # the temporaries stay small next to the M x M matrix itself.
 _BLOCK_CELLS = 1 << 16
@@ -74,16 +80,14 @@ class ReductionConfig:
             raise ValueError("max_mixands must be at least 1")
 
 
-def _merged_cov(wa, ca, wb, cb, d):
-    """Total weight and moment-matched covariance ``f_a P_a + f_b P_b + f_a f_b d d^T``.
+def _merged_cov(fa, ca, fb, cb, d, out=None):
+    """Moment-matched covariance ``f_a P_a + f_b P_b + f_a f_b d d^T``, written to ``out`` if given.
 
-    ``f = w / (w_a + w_b)`` and ``d = mu_a - mu_b``.  Swapping the sides
+    ``f = w / (w_a + w_b)`` are floats or arrays (..., 1, 1) that broadcast
+    against the covariances, and ``d = mu_a - mu_b``.  Swapping the sides
     changes no bit, and symmetric ``P_a``, ``P_b`` give an exactly symmetric sum.
     """
-    w = wa + wb
-    fa, fb = wa / w, wb / w
-    return w, (fa[..., None, None] * ca + fb[..., None, None] * cb
-               + (fa * fb)[..., None, None] * (d[..., :, None] * d[..., None, :]))
+    return np.add(fa * ca + fb * cb, (fa * fb) * (d[..., :, None] * d[..., None, :]), out=out)
 
 
 def _merged_moments(wa, ma, ca, wb, mb, cb):
@@ -92,8 +96,10 @@ def _merged_moments(wa, ma, ca, wb, mb, cb):
     Either side may be one component broadcast against a stack of the other.
     The merge is symmetric in its two sides, bit for bit.
     """
-    w, cov = _merged_cov(wa, ca, wb, cb, ma - mb)
-    return w, (wa / w)[..., None] * ma + (wb / w)[..., None] * mb, cov
+    w = wa + wb
+    fa, fb = wa / w, wb / w
+    cov = _merged_cov(fa[..., None, None], ca, fb[..., None, None], cb, ma - mb)
+    return w, fa[..., None] * ma + fb[..., None] * mb, cov
 
 
 def merge_pair(a: HybridMixand, b: HybridMixand) -> HybridMixand:
@@ -114,7 +120,7 @@ def merge_cost(a: HybridMixand, b: HybridMixand) -> float:
     return 0.5 * ((a.weight + b.weight) * ld_ab - a.weight * ld_a - b.weight * ld_b)
 
 
-def _pair_costs(wa, ma, ca, lda, wb, mb, cb, ldb):
+def _pair_costs(wa, ma, ca, lda, wb, mb, cb, ldb, out=None):
     """``merge_cost`` of pairs ``(a_k, b_k)``, batched over k.
 
     Each side gives weights (K,), means (K, n), covariances (K, n, n) and
@@ -122,14 +128,20 @@ def _pair_costs(wa, ma, ca, lda, wb, mb, cb, ldb):
     merged covariance is ``_merged_cov``'s, the one ``_merged_moments``
     stores, and the cost is symmetric in its two sides, bit for bit.
     Returns the costs and ``lda``; with ``lda`` None, side a is one slot
-    whose log-det is taken in the same ``slogdet`` call and returned.
+    whose log-det is taken in the same ``slogdet`` call and returned.  That
+    call takes the slot's covariance and the K merged ones stacked in the
+    first K + 1 rows of ``out``, or of a new array if ``out`` is None.
     """
-    w, sigma = _merged_cov(wa, ca, wb, cb, ma - mb)
+    w = wa + wb
+    fa, fb = (wa / w)[:, None, None], (wb / w)[:, None, None]
     if lda is None:
-        logdet = np.linalg.slogdet(np.concatenate((ca[None], sigma)))[1]
+        stack = np.empty((len(w) + 1, *ca.shape)) if out is None else out[: len(w) + 1]
+        stack[0] = ca
+        _merged_cov(fa, ca, fb, cb, ma - mb, out=stack[1:])
+        logdet = np.linalg.slogdet(stack)[1]
         lda, logdet = logdet[0], logdet[1:]
     else:
-        logdet = np.linalg.slogdet(sigma)[1]
+        logdet = np.linalg.slogdet(_merged_cov(fa, ca, fb, cb, ma - mb))[1]
     with np.errstate(invalid="ignore"):  # singular covariances: -inf + inf
         costs = 0.5 * (w * logdet - (wa * lda + wb * ldb))
     return _clamp(costs), lda
@@ -152,6 +164,9 @@ def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
     codes: dict = {}
     label = np.array([codes.setdefault(alpha, len(codes)) for alpha in mix.labels])
     alive = np.ones(m, dtype=bool)
+    # A merge's slogdet stack: the new slot's covariance, then its merges
+    # with its partners, of which there are at most m - 1.
+    stack = np.empty_like(cov)
 
     # costs[i, j] = costs[j, i] is the cost of merging slots i and j of one
     # label; every other cell, the diagonal too, is +inf.
@@ -165,7 +180,8 @@ def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
         for s in range(0, len(ia), _CHUNK):
             a, b = ia[s : s + _CHUNK], ib[s : s + _CHUNK]
             costs[a, b] = costs[b, a] = _pair_costs(
-                w[a], mean[a], cov[a], logdet[a], w[b], mean[b], cov[b], logdet[b])[0]
+                w.take(a), mean.take(a, axis=0), cov.take(a, axis=0), logdet.take(a),
+                w.take(b), mean.take(b, axis=0), cov.take(b, axis=0), logdet.take(b))[0]
     # Each row's cheapest cell, so a step scans M row minima, not M^2 cells.
     best = costs.argmin(axis=1)
     row_min = costs[idx, best]
@@ -192,14 +208,22 @@ def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
         i = int((row_min <= band).argmax())
         row = costs[i]
         j = int((row <= band).argmax())
-        w[i], mean[i], cov[i] = _merged_moments(w[i], mean[i], cov[i], w[j], mean[j], cov[j])
+        # _merged_moments' arithmetic on Python floats, written into slot i.
+        wi, wj = w.item(i), w.item(j)
+        wt = wi + wj
+        fi, fj = wi / wt, wj / wt
+        mi, mj = mean[i], mean[j]
+        _merged_cov(fi, cov[i], fj, cov[j], mi - mj, out=cov[i])
+        mean[i] = fi * mi + fj * mj
+        w[i] = wt
         alive[j] = False
         costs[j] = costs[:, j] = np.inf
         # Row i's finite cells (costs are clamped below +inf) are its alive
         # same-label partners.
         partners = (row < np.inf).nonzero()[0]
-        cost, logdet[i] = _pair_costs(w[i], mean[i], cov[i], None, w[partners],
-                                      mean[partners], cov[partners], logdet[partners])
+        cost, logdet[i] = _pair_costs(wt, mean[i], cov[i], None, w.take(partners),
+                                      mean.take(partners, axis=0), cov.take(partners, axis=0),
+                                      logdet.take(partners), stack)
         costs[i, partners] = costs[partners, i] = cost
         # Rescan rows i and j, the rows whose minimum sat on slot i or j, and
         # the rows whose new cell may be their minimum.

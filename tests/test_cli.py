@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hgmm import cli
+from hgmm import cli, default_library
 from hgmm.benchmark import run_benchmark
 from hgmm.serialize import to_json
 
@@ -167,6 +168,22 @@ class TestBenchmark:
         assert run_cli("benchmark", "--model", "ungm", "--samples", "3", *flag) == 2
         captured = capsys.readouterr()
         assert setting in captured.err and not captured.out
+
+
+    def test_depth_cap_warnings_summed_in_one_line(self, capsys, caplog):
+        # The engine warns once per prior that reaches the split depth cap;
+        # the benchmark reports them on one line instead of one line each.
+        with caplog.at_level(logging.WARNING, logger="hgmm.engine"):
+            run_benchmark("ungm", 10, 7, default_library())
+        capped = [r for r in caplog.records if "depth cap" in r.msg]
+        assert capped
+        caplog.clear()
+        assert run_cli("benchmark", "--model", "ungm", "--samples", "10", "--seed", "7") == 0
+        captured = capsys.readouterr()
+        assert "depth cap" not in captured.err + caplog.text
+        lines = [line for line in captured.out.splitlines() if "depth cap" in line]
+        assert lines == [f"split depth cap 2 reached for {len(capped)} of 10 priors, "
+                         f"{sum(r.args[1] for r in capped)} mixand(s) in all; recombined anyway"]
 
 
 class TestRun:

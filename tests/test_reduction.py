@@ -7,9 +7,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import hgmm.engine
+import hgmm.reduction
 from hgmm import (
+    EngineConfig,
     Gaussian,
     apply_split,
+    anticipate,
     default_library,
     HybridMixand,
     HybridMixture,
@@ -19,6 +23,7 @@ from hgmm import (
     reduce_mixture,
 )
 from hgmm.core import gaussian_logpdf, symmetrize
+from hgmm.models import BicycleModel, builtin_network
 from hgmm.reduction import _TIE_RTOL, _merged_moments, _pair_costs, merge_cost, merge_pair
 
 
@@ -404,3 +409,36 @@ class TestAgainstReference:
         assert len(mix) == 100
         out = reduce_mixture(mix, ReductionConfig(4))
         assert mixture_bytes(out) == mixture_bytes(reference_reduce(mix, 4))
+
+
+@pytest.fixture(scope="module")
+def split_heavy_frames():
+    """The reducer's inputs on the split_heavy prior at the intersection.
+
+    Returns the first 100-mixand frame, one label, and the largest frame
+    holding several labels.
+    """
+    prior = HybridMixture((HybridMixand(1.0, "approach", Gaussian(
+        np.array([20.0, 0.0, 9.0, 0.0]), np.diag([2.0, 2.0, 2.0, 0.1]))),))
+    cfg = EngineConfig(e_res_max=0.05, reduction=ReductionConfig(4), max_split_depth=2,
+                       normalization="raw", horizon=3.5)
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hgmm.engine, "reduce_mixture",
+                   lambda mix, rcfg: seen.append(mix) or reduce_mixture(mix, rcfg))
+        anticipate(prior, BicycleModel(builtin_network("intersection")), cfg, default_library())
+    one_label = next(mix for mix in seen if len(mix) == 100)
+    several = max((mix for mix in seen if len(set(mix.labels)) > 2), key=len)
+    assert len(set(one_label.labels)) == 1 and len(several) > 4
+    return {"one_label": one_label, "several_labels": several}
+
+
+@pytest.mark.parametrize("frame", ["one_label", "several_labels"])
+def test_fill_chunk_changes_no_bit(frame, split_heavy_frames, monkeypatch):
+    # Every pair cost is elementwise in its pair, so how the fill batches
+    # the pairs cannot move a cost, a merge or a bit of the output.
+    mix = split_heavy_frames[frame]
+    want = mixture_bytes(reduce_mixture(mix, ReductionConfig(4)))
+    for chunk in (1, 7, 512, 1024):
+        monkeypatch.setattr(hgmm.reduction, "_CHUNK", chunk)
+        assert mixture_bytes(reduce_mixture(mix, ReductionConfig(4))) == want, chunk
