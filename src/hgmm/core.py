@@ -8,12 +8,12 @@ but a frame, validate what they are given, one vectorised check per frame;
 frames built inside the engine hold rows that are valid by construction
 and are not checked again.
 
-Importing this module loads NumPy only.  SciPy, whose import takes about
-0.3 s, is loaded on first use by the two functions that need its bits:
-``gaussian_logpdf`` (so ``isd_terms`` and the evaluation metrics) and
-``eigh``, the eigen fallback of ``matrix_sqrt`` for a covariance that is
-not positive definite.  The engine needs neither on positive definite
-covariances.
+Importing this module loads NumPy only, and so does the density kernel
+``gaussian_logpdf`` (with ``isd_terms`` and the evaluation metrics that
+call it).  SciPy, whose import takes about 0.3 s, is loaded only by
+``eigh``, on first use: the eigen fallback of ``matrix_sqrt`` for a
+covariance that is not positive definite, which needs SciPy's bits.  The
+engine does not call it on positive definite covariances.
 """
 
 from __future__ import annotations
@@ -340,33 +340,57 @@ def eigh(a: np.ndarray) -> tuple:
 NO_NOISE = ProcessNoise(np.zeros((0, 0)))
 
 
+def _whiten(mean: np.ndarray, cov: np.ndarray, xs: np.ndarray) -> tuple:
+    """``(z, chol)``: the points whitened, ``chol^-1 (xs - mean)^T``, as an (n, P) array.
+
+    ``chol`` is the ``np.linalg.cholesky`` factor of the symmetric part of
+    ``cov``.  ``z`` starts as one C-ordered copy of ``xs - mean`` (row i:
+    coordinate i of every point) and is solved by forward substitution in
+    place, one row at a time; each row is scaled by the reciprocal of its
+    diagonal entry, as OpenBLAS's triangular solve does, so that for n = 1
+    ``z`` is SciPy's ``solve_triangular`` bit for bit (for larger n it is
+    within a few units in the last place).
+    """
+    n = mean.shape[0]
+    sym = symmetrize(cov)
+    xs = np.atleast_2d(xs)
+    z = np.empty((n, xs.shape[0]))
+    np.subtract(xs.T, mean[:, None], out=z)
+    if not (np.isfinite(sym).all() and np.isfinite(z).all()):
+        raise ValueError("mean, covariance and points must be finite")
+    try:
+        chol = np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        sym = sym + (1e-12 * max(np.trace(sym), 1e-300)) * np.eye(n)
+        chol = np.linalg.cholesky(sym)
+    for i, row in enumerate(z):
+        for j in range(i):
+            row -= chol[i, j] * z[j]
+        row *= 1.0 / chol[i, i]
+    return z, chol
+
+
 def gaussian_logpdf(mean: np.ndarray, cov: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Log density of N(mean, cov) at each row of ``xs``.
 
-    One Cholesky factorization serves every row.  A covariance that is not
-    numerically positive definite gets a 1e-12 * trace jitter first.  The
-    squared whitened coordinates are summed one coordinate at a time, left
-    to right, along the rows of the (n, P) solution: each pass runs over
-    the batch, and no (n, P) square is made.  For n <= 7 this is
-    ``np.sum(z * z, axis=0)`` bit for bit; from n = 8 NumPy's pairwise
-    summation reorders that sum, and the two differ by up to about 2e-16
-    relative.
+    NumPy only: SciPy loads only for ``eigh``, the eigen fallback of
+    ``matrix_sqrt``.  One Cholesky factor serves every row (``_whiten``).
+    A covariance that is not numerically positive definite gets a
+    1e-12 * trace jitter first; one that still fails raises
+    ``np.linalg.LinAlgError``.  A non-finite mean, covariance or point
+    raises ``ValueError``.  The squared whitened coordinates are summed one
+    coordinate at a time, left to right, along the rows of the (n, P)
+    whitened array: each pass runs over the batch, and no (n, P) square is
+    made.  For n <= 7 this is ``np.sum(z * z, axis=0)`` bit for bit; from
+    n = 8 NumPy's pairwise summation reorders that sum, and the two differ
+    by up to about 2e-16 relative.
     """
-    from scipy.linalg import cholesky, solve_triangular
-
-    n = mean.shape[0]
-    sym = symmetrize(cov)
-    try:
-        chol = cholesky(sym, lower=True)
-    except np.linalg.LinAlgError:
-        sym = sym + (1e-12 * max(np.trace(sym), 1e-300)) * np.eye(n)
-        chol = cholesky(sym, lower=True)
-    z = solve_triangular(chol, (np.atleast_2d(xs) - mean).T, lower=True)
+    z, chol = _whiten(mean, cov, xs)
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
     sq = np.zeros(z.shape[1])
     for row in z:
         sq += row * row
-    return -0.5 * sq - 0.5 * (n * math.log(2.0 * math.pi) + logdet)
+    return -0.5 * sq - 0.5 * (mean.shape[0] * math.log(2.0 * math.pi) + logdet)
 
 
 def gaussian_pdf(g: Gaussian, x: np.ndarray) -> float:

@@ -19,7 +19,7 @@ from hgmm import (
     mixture_moments,
     normalize,
 )
-from hgmm.core import _factor, gaussian_logpdf, symmetrize
+from hgmm.core import _factor, _whiten, gaussian_logpdf, symmetrize
 from hgmm.errors import (
     DimensionMismatchError,
     EmptyMixtureError,
@@ -137,17 +137,22 @@ class TestGaussianPdf:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_logpdf_sums_squares_in_coordinate_order(self, n):
         # gaussian_logpdf adds the squared whitened coordinates one row of the
-        # (n, P) solution at a time.  np.sum over that F-ordered solution has
-        # the same bits for n <= 7; from n = 8 NumPy's pairwise summation
-        # reorders it, and the two move apart by up to about 2e-16 relative.
+        # (n, P) array at a time.  np.sum over that C-ordered array has the
+        # same bits for n <= 7; from n = 8 NumPy's pairwise summation reorders
+        # it, and the two move apart by up to about 2e-16 relative.  The
+        # kernel's own forward substitution is not SciPy's solve_triangular
+        # bit for bit (OpenBLAS's trsm orders and fuses its operations
+        # differently), only within a few units in the last place of each
+        # point's largest whitened coordinate.
         rng = np.random.default_rng(n)
         a = rng.normal(size=(n, n))
         cov = a @ a.T + 0.5 * np.eye(n)
         mean = rng.normal(size=n)
         xs = mean + 3.0 * rng.normal(size=(2000, n))
-        chol = scipy.linalg.cholesky(cov, lower=True)
-        z = scipy.linalg.solve_triangular(chol, (xs - mean).T, lower=True)
-        assert z.flags.f_contiguous
+        z, chol = _whiten(mean, cov, xs)
+        ref = scipy.linalg.solve_triangular(scipy.linalg.cholesky(cov, lower=True),
+                                            (xs - mean).T, lower=True)
+        assert (np.abs(z - ref) <= 16 * np.spacing(np.abs(ref).max(axis=0))).all()
         logdet = 2.0 * np.sum(np.log(np.diag(chol)))
         want = -0.5 * np.sum(z * z, axis=0) - 0.5 * (n * math.log(2.0 * math.pi) + logdet)
         got = gaussian_logpdf(mean, cov, xs)
@@ -155,6 +160,29 @@ class TestGaussianPdf:
             assert got.tobytes() == want.tobytes()
         else:
             assert (np.abs(got - want) <= 5e-16 * np.abs(want)).all()
+
+    @pytest.mark.parametrize("where", ["xs", "mean", "cov"])
+    def test_logpdf_rejects_non_finite_input(self, where):
+        args = {"mean": np.zeros(2), "cov": np.eye(2), "xs": np.zeros((3, 2))}
+        args[where] = args[where].copy()
+        args[where].flat[0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_logpdf(args["mean"], args["cov"], args["xs"])
+
+    def test_logpdf_of_singular_covariance_takes_the_jitter(self):
+        # Not positive definite, so the Cholesky fails and 1e-12 * trace is
+        # added to the diagonal, as if the caller had passed cov + 2e-12 I.
+        cov = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(cov)
+        xs = np.array([[0.0, 0.0], [1e-7, 1e-7], [1e-7, -1e-7]])
+        got = gaussian_logpdf(np.zeros(2), cov, xs)
+        want = gaussian_logpdf(np.zeros(2), cov + 2e-12 * np.eye(2), xs)
+        assert np.isfinite(got).all() and got.tobytes() == want.tobytes()
+
+    def test_logpdf_of_indefinite_covariance_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            gaussian_logpdf(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((1, 2)))
 
 
 class TestIsdTerms:
