@@ -6,7 +6,7 @@ both predictions against a Monte-Carlo particle truth.  The splitting
 run bends its probability mass around the corner; the single-Gaussian
 run overshoots tangentially.
 
-Run:  python3 demos/turn_scenario_demo.py  (about 20 s)
+Run:  python3 demos/turn_scenario_demo.py  (about 1 s)
 """
 
 import logging
@@ -18,7 +18,6 @@ from hgmm import (
     Gaussian,
     HybridMixand,
     HybridMixture,
-    ReductionConfig,
     anticipate,
     default_library,
 )
@@ -27,19 +26,6 @@ from hgmm.models import BicycleModel, turn_network
 
 # Depth-cap warnings are expected with this deliberately wide prior.
 logging.getLogger("hgmm.engine").setLevel(logging.ERROR)
-
-
-def config(e_res_max):
-    return EngineConfig(
-        e_res_max=e_res_max,
-        split_n=5,
-        split_sigma=0.3,
-        max_split_depth=2,
-        reduction=ReductionConfig(10),
-        dt=0.1,
-        horizon=3.5,
-        normalization="raw",
-    )
 
 
 def main():
@@ -64,7 +50,7 @@ def main():
 
     frames = {}
     for label, e in (("adaptive splitting", 0.1), ("single Gaussian", np.inf)):
-        frames[label] = anticipate(initial, model, config(e), lib)
+        frames[label] = anticipate(initial, model, EngineConfig(e_res_max=e), lib)
         sizes = [len(f.mixands) for f in frames[label]]
         segs = sorted({m.discrete for m in frames[label][-1].mixands})
         print(f"{label:>18}: mixands per frame min/max {min(sizes)}/{max(sizes)}, "

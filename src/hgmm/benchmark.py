@@ -52,7 +52,7 @@ def split_config(split_n: int, split_sigma: float, e_res_max: float,
     """The split arm's one-step engine setting; ``ValueError`` names a bad setting."""
     return EngineConfig(e_res_max=e_res_max, split_n=split_n, split_sigma=split_sigma,
                         max_split_depth=max_split_depth, reduction=ReductionConfig(2000),
-                        dt=1.0, horizon=1.0, normalization="raw")
+                        dt=1.0, horizon=1.0)
 
 
 @dataclass(frozen=True)
@@ -97,14 +97,14 @@ def run_benchmark(
     priors = sample_priors(samples, seed)
     truths = [truth_density(prior) for prior in priors]
 
-    covs = np.stack([prior.cov for prior in priors])
-    sigma_set = generate_sigma_points((np.stack([prior.mean for prior in priors]), covs),
+    sigma_set = generate_sigma_points((np.stack([prior.mean for prior in priors]),
+                                       np.stack([prior.cov for prior in priors])),
                                       model.process_noise)
     # Each benchmark model takes its first state to one label whatever the prior: no gate.
     [(label, _)] = model.successor_options(0)
     propagated = propagate_points(sigma_set, label, model.f_c_batch)
     residuals = _symmetric_fit(sigma_set.state_block(), propagated[:, : 1 + 2 * model.n_x],
-                               covs, "raw", math.inf).e_res
+                               math.inf).e_res
     no_split = np.array([
         _kld(HybridMixture((HybridMixand(1.0, label, Gaussian(mean, cov)),)), truth)
         for mean, cov, truth in zip(*recombine(propagated), truths)

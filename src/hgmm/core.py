@@ -8,12 +8,10 @@ but a frame, validate what they are given, one vectorised check per frame;
 frames built inside the engine hold rows that are valid by construction
 and are not checked again.
 
-Importing this module loads NumPy only, and so does the density kernel
-``gaussian_logpdf`` (with ``isd_terms`` and the evaluation metrics that
-call it).  SciPy, whose import takes about 0.3 s, is loaded only by
-``eigh``, on first use: the eigen fallback of ``matrix_sqrt`` for a
-covariance that is not positive definite, which needs SciPy's bits.  The
-engine does not call it on positive definite covariances.
+The package runs on NumPy alone: the density kernel ``gaussian_logpdf``
+and ``matrix_sqrt``, whose eigen fallback for a covariance that is not
+positive definite is NumPy's stacked ``eigh``, taken only for the
+matrices of a stack whose Cholesky fails.
 """
 
 from __future__ import annotations
@@ -297,8 +295,9 @@ def matrix_sqrt(cov: np.ndarray) -> np.ndarray:
     The input is checked first: a non-finite entry raises
     ``NonFiniteValueError`` and an asymmetry beyond tolerance
     ``NotSymmetricError``.  A stack (M, n, n) gets one check and one
-    Cholesky for all matrices; if that fails, each matrix is taken on its
-    own, so only the ones that are not positive definite use the eigen path.
+    Cholesky for all matrices; if that fails, each matrix is tried on its
+    own, and only the ones that are not positive definite take the eigen
+    path, all in one stacked decomposition.
     """
     cov = _as_matrix(cov)
     if cov.shape[-1] == 0:
@@ -318,23 +317,33 @@ def _factor(cov: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
-        if sym.ndim > 2:
-            return np.stack([_factor(m) for m in sym])
-    w, v = eigh(sym)
-    tr = max(np.trace(sym), 0.0)
-    if w.min() < -_EIG_RTOL * max(tr, 1e-300):
+        pass
+    stack = sym.reshape(-1, *sym.shape[-2:])
+    out = np.empty_like(stack)
+    failed = []
+    for i, matrix in enumerate(stack):
+        try:
+            out[i] = np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            failed.append(i)
+    out[failed] = _eigen_sqrt(stack[failed])
+    return out.reshape(sym.shape)
+
+
+def _eigen_sqrt(stack: np.ndarray) -> np.ndarray:
+    """``v sqrt(w)`` of each matrix of a stack, from one ``np.linalg.eigh`` call.
+
+    Eigenvalues above -1e-9 times the trace are clipped to zero; a lower
+    one raises ``IndefiniteMatrixError``.
+    """
+    w, v = np.linalg.eigh(stack)
+    tr = np.maximum(np.trace(stack, axis1=1, axis2=2), 1e-300)
+    low = w[:, 0] < -_EIG_RTOL * tr
+    if low.any():
         raise IndefiniteMatrixError(
-            f"matrix eigenvalue {w.min():.3e} below tolerance; not PSD"
+            f"matrix eigenvalue {w[low, 0].min():.3e} below tolerance; not PSD"
         )
-    w = np.clip(w, 0.0, None)
-    return v * np.sqrt(w)
-
-
-def eigh(a: np.ndarray) -> tuple:
-    """``scipy.linalg.eigh(a)``: eigenvalues ascending and eigenvectors of a symmetric matrix."""
-    from scipy.linalg import eigh
-
-    return eigh(a)
+    return v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
 
 
 NO_NOISE = ProcessNoise(np.zeros((0, 0)))
@@ -346,7 +355,7 @@ def _whiten(mean: np.ndarray, cov: np.ndarray, xs: np.ndarray) -> tuple:
     ``chol`` is the ``np.linalg.cholesky`` factor of the symmetric part of
     ``cov``.  ``z`` starts as one C-ordered copy of ``xs - mean`` (row i:
     coordinate i of every point) and is solved by forward substitution in
-    place, one row at a time; each row is scaled by the reciprocal of its
+    place, one row at a time; each row is multiplied by the reciprocal of its
     diagonal entry, as OpenBLAS's triangular solve does, so that for n = 1
     ``z`` is SciPy's ``solve_triangular`` bit for bit (for larger n it is
     within a few units in the last place).
@@ -373,8 +382,7 @@ def _whiten(mean: np.ndarray, cov: np.ndarray, xs: np.ndarray) -> tuple:
 def gaussian_logpdf(mean: np.ndarray, cov: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Log density of N(mean, cov) at each row of ``xs``.
 
-    NumPy only: SciPy loads only for ``eigh``, the eigen fallback of
-    ``matrix_sqrt``.  One Cholesky factor serves every row (``_whiten``).
+    One Cholesky factor serves every row (``_whiten``).
     A covariance that is not numerically positive definite gets a
     1e-12 * trace jitter first; one that still fails raises
     ``np.linalg.LinAlgError``.  A non-finite mean, covariance or point

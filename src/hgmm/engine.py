@@ -32,7 +32,7 @@ from .errors import ModelEvaluationFailure, NoSuccessorError
 # The engine takes the closed-form fit of its own symmetric sets and never
 # calls ``assess_linearity``; the name stays here because perfbench/spans.py
 # wraps the engine's layer functions where the engine looks them up.
-from .linearity import _symmetric_fit, assess_linearity  # noqa: F401
+from .linearity import _check_normalization, _symmetric_fit, assess_linearity  # noqa: F401
 from .reduction import ReductionConfig, reduce_mixture
 from .sigma import SigmaSet, generate_sigma_points, propagate_points, recombine
 from .splitting import SplitLibrary, apply_split
@@ -87,18 +87,20 @@ class DynamicsModel(ABC):
 class EngineConfig:
     """Tuning knobs for one anticipation run.
 
-    The defaults (``"scaled"`` at ``e_res_max=0.1``) split neither builtin
-    wide prior; the measured configurations pass ``normalization="raw"``.
+    The defaults are the measured configuration: a mixand splits when the
+    raw Frobenius residual of its sigma points' affine fit exceeds
+    ``e_res_max=0.1``, up to depth 2, and each step reduces to 10 mixands.
+    ``normalization`` accepts only ``"raw"``, the one residual metric.
     """
 
     e_res_max: float = 0.1
     split_n: int = 5
     split_sigma: float = 0.3
-    max_split_depth: int = 4
+    max_split_depth: int = 2
     reduction: ReductionConfig = field(default_factory=ReductionConfig)
     dt: float = 0.1
     horizon: float = 3.5
-    normalization: str = "scaled"     # residual metric mode: "raw" | "scaled"
+    normalization: str = "raw"
 
     def __post_init__(self):
         for name in ("dt", "horizon"):
@@ -112,8 +114,7 @@ class EngineConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_split_depth < 0:
             raise ValueError(f"max_split_depth must be non-negative, got {self.max_split_depth}")
-        if self.normalization not in ("raw", "scaled"):
-            raise ValueError(f"normalization must be raw or scaled, got {self.normalization!r}")
+        _check_normalization(self.normalization)
         steps = self.horizon / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("horizon must be an integer multiple of dt")
@@ -228,7 +229,7 @@ def step_continuous(
         split = None
         if assess:
             fit = _symmetric_fit(sigma_set.state_block(), propagated[:, : 1 + 2 * model.n_x],
-                                 covs, cfg.normalization, cfg.e_res_max)
+                                 cfg.e_res_max)
             if depth == cfg.max_split_depth:
                 depth_capped = int(np.count_nonzero(~fit.passed))
             elif not fit.passed.all():

@@ -40,7 +40,7 @@ class LinearityReport:
     leads to no split costs no eigen-decomposition.
     """
 
-    e_res: float                 # threshold-comparable residual (per normalization mode)
+    e_res: float                 # Frobenius norm of the affine fit's residual
     point_residuals: np.ndarray  # n_x x (2 n_x + 1), column j = residual of point j
     passed: bool
     rank_deficient: bool
@@ -77,25 +77,21 @@ def assess_linearity(
     pre_points: np.ndarray,
     post_points: np.ndarray,
     *,
-    prior_cov: np.ndarray | None = None,
-    normalization: str = "scaled",
+    normalization: str = "raw",
     e_res_max: float = math.inf,
 ) -> LinearityReport:
     """Assess how well an affine model explains the point propagation.
 
     ``pre_points`` and ``post_points`` are the 2*n_x + 1 state sigma
     points (rows) before and after propagation; noise-block points do not
-    participate.  ``normalization``:
+    participate.  ``e_res`` is the plain Frobenius norm of the residual, in
+    the units of the propagated state; ``normalization`` names that metric
+    and accepts only ``"raw"``.
 
-    * ``"raw"`` -- the plain Frobenius residual (unit-dependent),
-    * ``"scaled"`` -- raw divided by sqrt(2 n_x + 1) and by
-      sqrt(trace(prior covariance)), comparable across state scales
-      (requires ``prior_cov``).
-
-    A stack of M point sets (M, 2 n_x + 1, n_x), with M prior covariances,
-    is assessed in one pass; every field of its report then has a leading
-    axis of length M.
+    A stack of M point sets (M, 2 n_x + 1, n_x) is assessed in one pass;
+    every field of its report then has a leading axis of length M.
     """
+    _check_normalization(normalization)
     pre = np.asarray(pre_points, dtype=float)
     post = np.asarray(post_points, dtype=float)
     if pre.shape != post.shape or pre.ndim not in (2, 3):
@@ -125,13 +121,12 @@ def assess_linearity(
 
     rotated = post.swapaxes(1, 2) @ q_t                  # (M, n_x, m)
     chi_res = rotated[:, :, n_x + 1:]                    # unexplained block
-    e_raw = np.linalg.norm(chi_res, axis=(1, 2))
+    e_res = np.linalg.norm(chi_res, axis=(1, 2))
     padded = np.concatenate([np.zeros((len(pre), n_x, n_x + 1)), chi_res], axis=2)
     point_residuals = padded @ q_t.swapaxes(1, 2)        # (M, n_x, m)
 
     moment = _residual_moment(centred, np.linalg.norm(point_residuals, axis=1))
 
-    e_res = _normalized(e_raw, m, prior_cov, normalization)
     passed = rank_deficient | (e_res <= e_res_max)
     if single:
         return LinearityReport(float(e_res[0]), point_residuals[0], bool(passed[0]),
@@ -148,22 +143,17 @@ def _residual_moment(centred: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return 0.5 * (moment + moment.swapaxes(1, 2))
 
 
-def _normalized(e_raw: np.ndarray, m: int, prior_cov, normalization: str) -> np.ndarray:
-    """``e_res`` of the raw residuals of sets of m points, per ``normalization``."""
-    if normalization == "raw":
-        return e_raw
-    if normalization == "scaled":
-        if prior_cov is None:
-            raise ValueError("scaled normalization requires prior_cov")
-        tr = np.maximum(np.trace(np.atleast_2d(prior_cov), axis1=-2, axis2=-1), 1e-300)
-        return e_raw / (math.sqrt(m) * np.sqrt(tr))
-    raise ValueError(f"unknown normalization mode {normalization!r}")
+def _check_normalization(normalization: str) -> None:
+    """``ValueError`` unless ``normalization`` is ``"raw"``, the one residual metric."""
+    if normalization != "raw":
+        raise ValueError(f"normalization must be 'raw', got {normalization!r}; "
+                         "the 'scaled' mode was removed")
 
 
 class _SymmetricFit(NamedTuple):
     """Affine fit of a stack of M symmetric sigma sets, as ``_symmetric_fit`` returns it."""
 
-    e_res: np.ndarray           # (M,) threshold-comparable residual
+    e_res: np.ndarray           # (M,) Frobenius norm of the residual
     passed: np.ndarray          # (M,) rank-deficient, or e_res within e_res_max
     rank_deficient: np.ndarray  # (M,) the set spans less than its state space
     centred: np.ndarray         # (M, 2 n_x, n_x) points +j then -j, less the center
@@ -175,8 +165,7 @@ class _SymmetricFit(NamedTuple):
         return _principal_axes(_residual_moment(self.centred[rows], np.hstack([norms, norms])))
 
 
-def _symmetric_fit(pre: np.ndarray, post: np.ndarray, prior_cov: np.ndarray,
-                   normalization: str, e_res_max: float) -> _SymmetricFit:
+def _symmetric_fit(pre: np.ndarray, post: np.ndarray, e_res_max: float) -> _SymmetricFit:
     """``assess_linearity`` in closed form for the sets ``generate_sigma_points`` makes.
 
     ``pre`` is a stack (M, 2 n_x + 1, n_x) of state blocks x0, x0 + s_j,
@@ -206,9 +195,8 @@ def _symmetric_fit(pre: np.ndarray, post: np.ndarray, prior_cov: np.ndarray,
     centred = pre[:, 1:] - pre[:, :1]
     b = post[:, 1 : 1 + n_x] + post[:, 1 + n_x :] - 2.0 * post[:, :1]
     residuals = 0.5 * b - b.sum(axis=1, keepdims=True) / (2 * n_x + 1)
-    e_raw = np.sqrt((b * residuals).sum(axis=(1, 2)))
+    e_res = np.sqrt((b * residuals).sum(axis=(1, 2)))
     pivots = np.abs(centred.diagonal(axis1=1, axis2=2))
     rank_deficient = pivots.min(axis=1) <= _RANK_TOL * pivots.max(axis=1, initial=1.0)
-    e_res = _normalized(e_raw, 2 * n_x + 1, prior_cov, normalization)
     return _SymmetricFit(e_res, rank_deficient | (e_res <= e_res_max), rank_deficient,
                          centred, residuals)

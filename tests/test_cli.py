@@ -238,6 +238,30 @@ class TestRun:
         assert all(len(json.loads(line)["mixands"]) == 1
                    for line in out.read_text().splitlines())
 
+    def test_scenario_without_engine_keys_splits(self, tmp_path):
+        # EngineConfig's defaults split the README's wide turn prior.
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps({
+            "model": "bicycle", "network": "turn",
+            "initial": {"mixands": [{"w": 1.0, "alpha": "approach", "mu": [20, 0, 9, 0],
+                                     "sigma": np.diag([2.0, 2.0, 2.0, 0.1]).tolist()}]},
+        }), encoding="utf-8")
+        out = tmp_path / "frames.jsonl"
+        assert run_cli("run", "--scenario", str(scen), "--out", str(out)) == 0
+        counts = [len(json.loads(line)["mixands"]) for line in out.read_text().splitlines()]
+        assert len(counts) == 35 and max(counts) == 10
+        manifest = json.loads((tmp_path / "frames.jsonl.manifest.json").read_text())
+        assert manifest["config"]["normalization"] == "raw"
+        assert manifest["config"]["max_split_depth"] == 2
+
+    def test_scaled_normalization_is_usage_error(self, tmp_path, capsys):
+        scen = tmp_path / "scenario.json"
+        write_scenario(scen, horizon=0.3, normalization="scaled")
+        out = tmp_path / "frames.jsonl"
+        assert run_cli("run", "--scenario", str(scen), "--out", str(out)) == 2
+        assert not out.exists()
+        assert "'scaled' mode was removed" in capsys.readouterr().err
+
     def test_manifest_has_no_concurrency_fields(self, tmp_path):
         scen = tmp_path / "scenario.json"
         write_scenario(scen, horizon=0.3)

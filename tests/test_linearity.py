@@ -91,28 +91,13 @@ class TestSplitAxis:
 
 
 class TestNormalizationModes:
-    def test_scaled_requires_prior_cov(self, rng):
+    def test_scaled_mode_was_removed(self, rng):
+        # e_res is the raw residual; "raw" is the only mode left.
         pre = rng.normal(size=(3, 1))
-        post = pre**2
-        with pytest.raises(ValueError):
-            assess_linearity(pre, post, normalization="scaled")
-
-    def test_scaled_is_scale_invariant(self):
-        g = Gaussian(np.zeros(1), np.eye(1))
-        s = generate_sigma_points(g, NO_NOISE)
-        post = s.state_points**2
-        rep1 = assess_linearity(
-            s.state_points, post, prior_cov=g.cov, normalization="scaled"
-        )
-        # The same geometry blown up 100x in state and output units.
-        c = 100.0
-        g2 = Gaussian(np.zeros(1), c**2 * np.eye(1))
-        s2 = generate_sigma_points(g2, NO_NOISE)
-        post2 = (s2.state_points / c) ** 2 * c
-        rep2 = assess_linearity(
-            s2.state_points, post2, prior_cov=g2.cov, normalization="scaled"
-        )
-        assert rep2.e_res == pytest.approx(rep1.e_res, rel=1e-9)
+        for mode in ("scaled", "bogus"):
+            with pytest.raises(ValueError, match="'scaled' mode was removed"):
+                assess_linearity(pre, pre**2, normalization=mode)
+        assert assess_linearity(pre, pre**2, normalization="raw").e_res > 0.0
 
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatchError):
