@@ -367,10 +367,16 @@ def load_frames(path):
             [_read_mixture(rec["mixands"], int(rec["k"])) for rec in records])
 
 
-def _load_particles(path):
-    """The ``t`` and ``states`` arrays of a particle truth npz file."""
+def _load_particles(path, dim: int):
+    """The ``t`` and (T, P >= 1, ``dim``) finite ``states`` arrays of a particle truth npz file."""
     data = np.load(path)
-    return data["t"], data["states"]
+    t, states = data["t"], np.asarray(data["states"], dtype=float)
+    if states.ndim != 3 or states.shape[::2] != (t.shape[0], dim) or states.shape[1] == 0:
+        raise ValueError(f"states must have shape (len(t), particles >= 1, {dim}), "
+                         f"got {states.shape} for {t.shape[0]} times")
+    if not np.isfinite(states).all():
+        raise ValueError("states must be finite")
+    return t, states
 
 
 def _load_csv(path, columns=None):
@@ -400,11 +406,14 @@ def cmd_evaluate(args, parser) -> int:
     if args.metric == "nll":
         if not args.particles:
             parser.error("--particles is required for the nll metric")
-        part_t, states = _read_file("particles", args.particles, _load_particles, parser)
+        part_t, states = _read_file("particles", args.particles,
+                                    lambda path: _load_particles(path, frames[0].dim), parser)
         if part_t.shape[0] != len(frames) or np.abs(part_t - times).max() > dt / 2:
             print("timestamp mismatch between frames and particle truth", file=sys.stderr)
             return EXIT_TIMESTAMPS
-        particle_frames = [ParticleSet(states[i], ("*",) * states.shape[1]) for i in range(states.shape[0])]
+        # The file has no labels: one label, and a zero code per particle.
+        no_labels = np.zeros(states.shape[1], dtype=np.uint8)
+        particle_frames = [ParticleSet.from_codes(frame, ("*",), no_labels) for frame in states]
         values = nll(frames, particle_frames)
         summary = f"nll mean={values.mean():.4f} over {len(values)} steps"
     elif args.metric == "ll":

@@ -52,22 +52,66 @@ def mixture_pdf_points(mix: HybridMixture, xs: np.ndarray, dims=None) -> np.ndar
 # particle truth
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParticleSet:
-    """Weighted-equal particle approximation of the true hybrid state."""
+def _code_dtype(n_labels: int) -> np.dtype:
+    """The smallest unsigned dtype that holds codes 0 .. n_labels - 1."""
+    return np.min_scalar_type(max(n_labels - 1, 0))
 
-    states: np.ndarray            # (P, n_x)
-    alphas: tuple                 # length P
+
+def _encode(labels) -> tuple:
+    """(the distinct labels in order of first use, one code per label into them)."""
+    index = {}
+    codes = [index.setdefault(label, len(index)) for label in labels]
+    return tuple(index), np.array(codes, dtype=_code_dtype(len(index)))
+
+
+@dataclass(frozen=True, init=False)
+class ParticleSet:
+    """Weighted-equal particle approximation of the true hybrid state.
+
+    The discrete labels are held as a table of distinct labels plus one
+    unsigned code per particle, in the smallest dtype that fits (one byte
+    up to 256 labels); ``alphas`` decodes them on each read.
+    """
+
+    states: np.ndarray            # (P, n_x), read-only
+    labels: tuple                 # distinct labels; a table entry may be unused
+    codes: np.ndarray             # (P,) index into ``labels``, read-only
     seed: int = 0
 
-    def __post_init__(self):
+    def __init__(self, states, alphas, seed: int = 0):
         # A copy, so freezing it leaves the caller's array writeable.
-        states = np.atleast_2d(np.array(self.states, dtype=float))
-        if states.shape[0] != len(self.alphas):
+        states = np.atleast_2d(np.array(states, dtype=float))
+        labels, codes = _encode(alphas)
+        if states.shape[0] != codes.shape[0]:
             raise DimensionMismatchError("one discrete label required per particle")
+        self._freeze(states, labels, codes, seed)
+
+    @classmethod
+    def from_codes(cls, states: np.ndarray, labels, codes: np.ndarray, seed: int = 0):
+        """A set whose particle i has label ``labels[codes[i]]``.
+
+        ``labels`` must be distinct.  ``states`` (float) and ``codes``
+        (unsigned) are kept as given, not copied, and are made read-only.
+        """
+        states = np.asarray(states, dtype=float)
+        if states.ndim != 2 or codes.shape != states.shape[:1]:
+            raise DimensionMismatchError("one discrete label required per particle")
+        ps = cls.__new__(cls)
+        ps._freeze(states, tuple(labels), codes, seed)
+        return ps
+
+    def _freeze(self, states, labels, codes, seed):
         states.setflags(write=False)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "alphas", tuple(self.alphas))
+        codes.setflags(write=False)
+        for name, value in (("states", states), ("labels", labels), ("codes", codes),
+                            ("seed", seed)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def alphas(self) -> tuple:
+        """The label of each particle, in order."""
+        return tuple(np.fromiter(self.labels, dtype=object, count=len(self.labels))[self.codes]
+                     .tolist())
 
     @property
     def count(self) -> int:
@@ -98,7 +142,9 @@ def sample_particles(mix: HybridMixture, count: int, seed: int = 0) -> ParticleS
     rng = np.random.default_rng(seed)
     choice = rng.choice(len(mix), size=count, p=mix.weights / mix.weights.sum())
     states = _draw_mixture(rng, mix, choice)
-    return ParticleSet(states, tuple(mix.labels[c] for c in choice), seed)
+    # Mixands that share a label share its code.
+    labels, mixand_codes = _encode(mix.labels)
+    return ParticleSet.from_codes(states, labels, mixand_codes[choice], seed)
 
 
 def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
@@ -115,12 +161,14 @@ def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
     ``Generator.multivariate_normal``'s (NumPy 2.4, SVD method) to the bit,
     and use the same random numbers, with the covariance factored once per
     call instead of once per step: ``ProcessNoise`` has already checked it.
-    Returns one ParticleSet per step.
+    Returns one ParticleSet per step, which holds that step's state array
+    and label codes as they were made, not copies.
     """
     rng = np.random.default_rng(ps.seed if seed is None else seed)
-    states = ps.states
-    # Labels are held as integer codes into ``table``.
-    table, index = [], {}
+    states, codes = ps.states, ps.codes
+    # Labels are held as codes into ``table``, which grows as labels appear.
+    table = list(ps.labels)
+    index = {label: c for c, label in enumerate(table)}
 
     def code(label) -> int:
         if label not in index:
@@ -141,7 +189,6 @@ def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
     def take(array, rows):
         return array if isinstance(rows, slice) else array.take(rows, axis=0)
 
-    codes = np.array([code(alpha) for alpha in ps.alphas], dtype=int)
     n_v = model.process_noise.dim
     # multivariate_normal's factor and mean; the factor's transpose stays a view, as
     # there, so the product takes the same BLAS call and rounds the same way.
@@ -159,7 +206,10 @@ def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
                 labels, probs = zip(*model.successor_options(table[c]))
                 probs = np.array(probs)
                 pick = rng.choice(len(labels), size=crossed.size, p=probs / probs.sum())
-                new_codes[crossed] = np.array([code(label) for label in labels])[pick]
+                successors = np.array([code(label) for label in labels])
+                # A new label may outgrow the codes' dtype.
+                new_codes = new_codes.astype(_code_dtype(len(table)), copy=False)
+                new_codes[crossed] = successors[pick]
         codes = new_codes
         # Continuous propagation with per-particle noise draws; adding the
         # zero mean turns -0.0 into 0.0, as multivariate_normal does.
@@ -169,8 +219,7 @@ def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
         for c, rows in groups():
             new_states[rows] = model.f_c_batch(table[c], take(states, rows), take(noise, rows))
         states = new_states
-        alphas = np.fromiter(table, dtype=object, count=len(table))[codes]
-        frames.append(ParticleSet(states, tuple(alphas.tolist()), ps.seed))
+        frames.append(ParticleSet.from_codes(states, table, codes, ps.seed))
     return frames
 
 

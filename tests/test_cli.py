@@ -422,6 +422,15 @@ class TestUnreadableInput:
                      id="frames-malformed"),
         pytest.param(["evaluate", "--frames", "{frames}", "--metric", "nll",
                       "--particles", "{missing}"], "particles file", id="particles-missing"),
+        pytest.param(["evaluate", "--frames", "{frames}", "--metric", "nll",
+                      "--particles", "{particles_2d}"], "particles file", id="particles-2d"),
+        pytest.param(["evaluate", "--frames", "{frames}", "--metric", "nll",
+                      "--particles", "{particles_width}"], "particles file",
+                     id="particles-state-width"),
+        pytest.param(["evaluate", "--frames", "{frames}", "--metric", "nll",
+                      "--particles", "{particles_nan}"], "particles file", id="particles-nan"),
+        pytest.param(["evaluate", "--frames", "{frames}", "--metric", "nll",
+                      "--particles", "{particles_empty}"], "particles file", id="particles-empty"),
         pytest.param(["evaluate", "--frames", "{frames}", "--metric", "eote", "--network", "turn",
                       "--route", "approach,bogus"], "no segment 'bogus'", id="route-unknown"),
         pytest.param(["evaluate", "--frames", "{frames}", "--metric", "ll",
@@ -435,9 +444,18 @@ class TestUnreadableInput:
         (tmp_path / "list.json").write_text("[1, 2]")
         write_scenario(tmp_path / "asymmetric.json", cov=[[1.0, 0.5, 0, 0], [0, 1.0, 0, 0],
                                                           [0, 0, 1.0, 0], [0, 0, 0, 0.05]])
+        times, _ = cli.load_frames(DATA / "turn_frames.jsonl")
+        states = np.zeros((len(times), 5, 4))
+        nan_states = states.copy()
+        nan_states[1, 2, 0] = np.nan
+        particles = {"particles_2d": states[:, :, 0], "particles_width": states[:, :, :3],
+                     "particles_nan": nan_states, "particles_empty": states[:, :0]}
+        for name, array in particles.items():
+            np.savez(tmp_path / f"{name}.npz", t=times, states=array)
         paths = {"missing": tmp_path / "missing.json", "malformed": tmp_path / "malformed.json",
                  "json_list": tmp_path / "list.json", "asymmetric": tmp_path / "asymmetric.json",
-                 "frames": DATA / "turn_frames.jsonl"}
+                 "frames": DATA / "turn_frames.jsonl",
+                 **{name: tmp_path / f"{name}.npz" for name in particles}}
         argv = [arg.format(**paths) for arg in argv]
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
         assert message in capsys.readouterr().err

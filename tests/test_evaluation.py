@@ -1,6 +1,7 @@
 """Truth-particle, divergence, and scenario metric tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,7 +242,7 @@ class TestParticles:
         states, times, values = np.zeros((3, 2)), np.array([0.1, 0.2]), np.ones((2, 2))
         ps = ParticleSet(states, ("a",) * 3)
         obs = TrackObservations(times, values)
-        frozen = (ps.states, obs.times, obs.values)
+        frozen = (ps.states, ps.codes, obs.times, obs.values)
         assert all(a.flags.writeable for a in (states, times, values))
         assert not any(a.flags.writeable for a in frozen)
         states[0, 0], times[0], values[0, 0] = 5.0, 0.0, 5.0
@@ -259,6 +260,80 @@ class TestParticles:
         crossed = [model.transition_mask("main", frame.states).sum() for frame in want]
         assert crossed[0] == 0 and 0 < crossed[5] < 2000 and crossed[-1] == 2000
         assert_same_frames(got, want)
+
+
+class TestParticleSet:
+    def test_alphas_round_trip_mixed_labels_in_order(self):
+        alphas = ("b", 3, "a", "b", 0, 3, ("a", 1), 0)
+        ps = ParticleSet(np.zeros((8, 2)), alphas, seed=4)
+        assert ps.alphas == alphas
+        assert ps.labels == ("b", 3, "a", 0, ("a", 1))
+        assert ps.codes.tolist() == [0, 1, 2, 0, 3, 1, 4, 3]
+        assert ps.seed == 4 and ps.count == 8
+
+    @pytest.mark.parametrize("n_labels, dtype", [(1, np.uint8), (256, np.uint8),
+                                                 (257, np.uint16)])
+    def test_codes_take_the_smallest_unsigned_dtype(self, n_labels, dtype):
+        alphas = tuple(range(n_labels))[::-1]
+        ps = ParticleSet(np.zeros((n_labels, 1)), alphas)
+        assert ps.codes.dtype == dtype
+        assert ps.alphas == alphas
+
+    def test_sampled_and_propagated_codes_are_one_byte(self):
+        prior = single(Gaussian(np.array([40.0, 0.0, 9.0, 0.0]), np.eye(4)), alpha="approach")
+        ps = sample_particles(prior, 100, seed=1)
+        assert ps.codes.dtype == np.uint8 and ps.labels == ("approach",)
+        frame = propagate_particles(ps, BicycleModel(intersection_network()), 1)[0]
+        assert frame.codes.dtype == np.uint8 and len(frame.labels) == 4
+
+    def test_codes_widen_when_new_labels_outgrow_a_byte(self):
+        # Every particle moves on each step to label k + 1 or k + 2, so the
+        # label table passes 256 entries partway through a step.
+        routing = {k: [(k + 1, 0.5), (k + 2, 0.5)] for k in range(400)}
+        model = LinearModel(np.eye(2), np.eye(2), 0.01 * np.eye(2), routing)
+        ps = sample_particles(single(Gaussian(np.zeros(2), np.eye(2)), alpha=0), 20, seed=5)
+        got = propagate_particles(ps, model, 180)
+        assert_same_frames(got, reference_propagate(ps, model, 180))
+        assert got[0].codes.dtype == np.uint8 and got[-1].codes.dtype == np.uint16
+        assert len(got[-1].labels) > 256
+
+    def test_labels_shared_by_mixands_share_a_code(self):
+        g = Gaussian(np.zeros(2), np.eye(2))
+        mix = HybridMixture(tuple(HybridMixand(w, label, g)
+                                  for w, label in ((0.3, "a"), (0.3, "b"), (0.4, "a"))))
+        ps = sample_particles(mix, 500, seed=2)
+        assert ps.labels == ("a", "b")
+        assert set(ps.alphas) == {"a", "b"}
+
+    @pytest.mark.parametrize("states, alphas", [
+        (np.zeros((3, 2)), ("a", "b")),
+        (np.zeros((2, 2)), ("a", "b", "c")),
+    ])
+    def test_length_mismatch_raises(self, states, alphas):
+        with pytest.raises(DimensionMismatchError):
+            ParticleSet(states, alphas)
+        with pytest.raises(DimensionMismatchError):
+            ParticleSet.from_codes(states, ("a", "b", "c"), np.zeros(len(alphas), dtype=np.uint8))
+
+    def test_propagated_frames_hold_states_and_one_byte_per_label(self):
+        # 10k particles over 35 steps: the frames may keep their states, one
+        # code byte per particle and step, and a small fixed slack, but no
+        # per-particle Python objects (a tuple of labels is 8 bytes a particle).
+        count, steps, slack = 10_000, 35, 64 * 1024
+        model = BicycleModel(intersection_network())
+        prior = single(Gaussian(np.array([20.0, 0.0, 9.0, 0.0]), np.diag([1.0, 1.0, 1.0, 0.05])),
+                       alpha="approach")
+        ps = sample_particles(prior, count, seed=3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            frames = propagate_particles(ps, model, steps)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(set(frames[-1].alphas)) > 1
+        states_bytes = sum(frame.states.nbytes for frame in frames)
+        assert retained <= states_bytes + count * steps + slack, retained
 
 
 def assert_same_frames(got, want):
