@@ -19,6 +19,7 @@ import hashlib
 import inspect
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -397,6 +398,8 @@ def _write_metric_csv(path, times, values):
 def cmd_evaluate(args, parser) -> int:
     if args.samples < 1:
         parser.error("--samples must be positive")
+    if args.dt is not None and not (math.isfinite(args.dt) and args.dt > 0.0):
+        parser.error(f"--dt must be finite and positive, got {args.dt}")
     times, frames = _read_file("frames", args.frames, load_frames, parser)
     if len(frames) == 0:
         parser.error("frames file is empty")
@@ -431,10 +434,11 @@ def cmd_evaluate(args, parser) -> int:
         times, values = obs_t, np.array(values)
         summary = f"ll total={values.sum():.4f} over {len(values)} observations"
     elif args.metric == "eote":
-        if not args.network or not args.route:
-            parser.error("--network and --route are required for the eote metric")
+        route = [tok for tok in (args.route or "").split(",") if tok]
+        if not args.network or not route:
+            parser.error("--network and --route, with a segment id, are required for the "
+                         "eote metric")
         network = _network(args.network, parser)
-        route = [tok for tok in args.route.split(",") if tok]
         unknown = [seg for seg in route if seg not in network.segments]
         if unknown:
             parser.error(f"--route: no segment {', '.join(map(repr, unknown))} in the network "

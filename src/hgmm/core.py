@@ -2,11 +2,14 @@
 
 The continuous part of every hypothesis is a plain Gaussian; a hybrid
 mixand attaches a weight and an opaque discrete label to it; a mixture
-frame holds its mixands as stacked arrays.  All types are immutable after
-construction.  The public constructors, and ``normalize`` given anything
-but a frame, validate what they are given, one vectorised check per frame;
-frames built inside the engine hold rows that are valid by construction
-and are not checked again.
+frame holds its mixands as stacked arrays, and their labels as a table of
+the distinct labels in use plus one unsigned code per mixand.  That label
+encoding (``_code_dtype``, ``_encode``, ``_decode``) is defined here
+alone: the engine, the reducer and the particle oracle work on codes.  All
+types are immutable after construction.  The public constructors, and
+``normalize`` given anything but a frame, validate what they are given,
+one vectorised check per frame; frames built inside the engine hold rows
+that are valid by construction and are not checked again.
 
 The package runs on NumPy alone: the density kernel ``gaussian_logpdf``
 and ``matrix_sqrt``, whose eigen fallback for a covariance that is not
@@ -131,14 +134,45 @@ def _stack(mixands: Sequence[HybridMixand]) -> tuple:
     )
 
 
-def _frame(weights, means, covs, labels, time_index) -> HybridMixture:
-    """Frame on arrays taken as they are: the caller vouches for its rows and its weight sum."""
+def _code_dtype(n_labels: int) -> np.dtype:
+    """The smallest unsigned dtype that holds codes 0 .. n_labels - 1."""
+    return np.min_scalar_type(max(n_labels - 1, 0))
+
+
+def _encode(labels, table: tuple = ()) -> tuple:
+    """``(table, codes)``: one code per label, into ``table`` extended by the labels it lacks.
+
+    Labels are dict keys, so equal labels share a code.  New labels join
+    the table in order of first use, so ``_encode(labels)`` is the encoding
+    a frame holds: the labels in use, in order of first use.  The codes
+    take ``_code_dtype`` of the extended table's length.
+    """
+    index = {label: c for c, label in enumerate(table)}
+    codes = [index.setdefault(label, len(index)) for label in labels]
+    return tuple(index), np.array(codes, dtype=_code_dtype(len(index)))
+
+
+def _decode(table: tuple, codes) -> tuple:
+    """The label that each code names in ``table``, in order.
+
+    ``_encode(_decode(table, codes))`` re-encodes a subset of a frame's
+    rows to the labels they use.
+    """
+    return tuple(np.fromiter(table, dtype=object, count=len(table))[codes].tolist())
+
+
+def _frame(weights, means, covs, table, codes, time_index) -> HybridMixture:
+    """Frame on arrays taken as they are.
+
+    The caller vouches for its rows, its weight sum, and for ``(table, codes)``
+    being ``_encode`` of its labels.
+    """
     if not weights.min(initial=math.inf) > 0:     # NaN fails too; an empty frame passes
         raise ValueError("mixand weights must be positive")
-    for array in (weights, means, covs):
+    for array in (weights, means, covs, codes):
         array.setflags(write=False)
     frame = object.__new__(HybridMixture)
-    frame.__dict__.update(weights=weights, means=means, covs=covs, labels=tuple(labels),
+    frame.__dict__.update(weights=weights, means=means, covs=covs, table=table, codes=codes,
                           time_index=time_index)
     return frame
 
@@ -148,14 +182,18 @@ class HybridMixture:
     """Normalized weighted set of hybrid mixands at one time index.
 
     A frame of M mixands in n dimensions is held as read-only arrays,
-    ``weights`` (M,), ``means`` (M, n) and ``covs`` (M, n, n), plus the
-    ``labels`` tuple.  ``mixands`` views them as ``HybridMixand`` objects.
+    ``weights`` (M,), ``means`` (M, n) and ``covs`` (M, n, n), and its
+    labels as ``table``, the distinct labels in use in order of first use,
+    plus ``codes`` (M,), one unsigned index into ``table`` per mixand in
+    ``_code_dtype(len(table))``.  ``labels`` decodes them on first read;
+    ``mixands`` views the rows as ``HybridMixand`` objects.
     """
 
     weights: np.ndarray
     means: np.ndarray
     covs: np.ndarray
-    labels: tuple
+    table: tuple
+    codes: np.ndarray
     time_index: int = 0
 
     def __init__(self, mixands: Sequence[HybridMixand], time_index: int = 0):
@@ -169,8 +207,13 @@ class HybridMixture:
             raise ValueError(f"mixand weights sum to {total}, expected 1")
         weights, means, covs, labels = _stack(mixands)
         _check_moments(means, covs)
-        self.__dict__.update(_frame(weights, means, covs, labels, time_index).__dict__,
+        self.__dict__.update(_frame(weights, means, covs, *_encode(labels), time_index).__dict__,
                              mixands=mixands)
+
+    @cached_property
+    def labels(self) -> tuple:
+        """The label of each mixand, in order."""
+        return _decode(self.table, self.codes)
 
     @cached_property
     def mixands(self) -> tuple:
@@ -182,7 +225,7 @@ class HybridMixture:
         return self.means.shape[1]
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.weights)
 
 
 def normalize(mixands, time_index: int = 0, weight_floor: float = 0.0) -> HybridMixture:
@@ -200,7 +243,8 @@ def normalize(mixands, time_index: int = 0, weight_floor: float = 0.0) -> Hybrid
     """
     frame = mixands if isinstance(mixands, HybridMixture) else None
     if frame is not None:
-        weights, means, covs, labels = frame.weights, frame.means, frame.covs, frame.labels
+        weights, means, covs, table, codes = (frame.weights, frame.means, frame.covs,
+                                              frame.table, frame.codes)
     else:
         mixands = tuple(mixands)
         if mixands and isinstance(mixands[0], HybridMixand):
@@ -208,7 +252,7 @@ def normalize(mixands, time_index: int = 0, weight_floor: float = 0.0) -> Hybrid
         if not mixands or not len(mixands[0]):
             raise EmptyMixtureError("cannot normalize an empty mixand list")
         weights, means, covs = (np.array(a, dtype=float) for a in mixands[:3])
-        labels = mixands[3]
+        table, codes = _encode(mixands[3])
         _check_moments(means, covs)
     # Totals are summed left to right, as Python's sum does, so no weight
     # depends on NumPy's pairwise summation order.
@@ -225,7 +269,7 @@ def normalize(mixands, time_index: int = 0, weight_floor: float = 0.0) -> Hybrid
         if kept.any():
             if not kept.all():
                 weights, means, covs = weights[kept], means[kept], covs[kept]
-                labels = tuple(label for label, keep in zip(labels, kept) if keep)
+                table, codes = _encode(_decode(table, codes[kept]))
             weights = weights / sum(weights.tolist())
     # Nudge the largest weight so the sum is exactly representable as 1;
     # a second pass absorbs any last-bit rounding from the first.
@@ -234,18 +278,18 @@ def normalize(mixands, time_index: int = 0, weight_floor: float = 0.0) -> Hybrid
         if s == 1.0:
             break
         weights[int(np.argmax(weights))] += 1.0 - s
-    return _frame(weights, means, covs, labels, time_index)
+    return _frame(weights, means, covs, table, codes, time_index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcessNoise:
     """Time-invariant zero-mean Gaussian process noise."""
 
     cov: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     # matrix_sqrt(cov), computed once for every sigma-point set that uses it.
-    sqrt: np.ndarray = field(init=False, repr=False, compare=False)
+    sqrt: np.ndarray = field(init=False, repr=False)
     # Sigma-set noise blocks by (n_x, gamma), each built once by ``sigma_rows``.
-    _sigma_rows: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _sigma_rows: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         cov = np.array(self.cov, dtype=float)   # a copy: the caller's array stays writeable

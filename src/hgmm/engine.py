@@ -25,6 +25,8 @@ from .core import (
     HybridMixture,
     ProcessNoise,
     WEIGHT_FLOOR,
+    _decode,
+    _encode,
     _frame,
     normalize,
 )
@@ -128,51 +130,57 @@ def step_discrete(mix: HybridMixture, model: DynamicsModel) -> HybridMixture:
     """Fan each mixand out over its possible next discrete states.
 
     A mixand leaves its state when ``transition_mask`` flags its mean; the
-    means of all mixands with one label go through one call, and a frame
-    of one label passes its whole ``means``, with no row index.  A label
-    whose only option is to stay, ``[(alpha, 1.0)]``, is not gated, since
-    moving would keep it and its weight.  The fan-out is not renormalized:
-    successor probabilities must be non-negative and sum to 1 within 1e-9,
-    else ``ValueError`` names the label; these checks, and
+    means of all mixands with one label code go through one call, and a
+    frame of one label passes its whole ``means``, with no row index.  A
+    label whose only option is to stay, ``[(alpha, 1.0)]``, is not gated,
+    since moving would keep it and its weight.  The fan-out is not
+    renormalized: successor probabilities must be non-negative and sum to 1
+    within 1e-9, else ``ValueError`` names the label; these checks, and
     ``NoSuccessorError`` for a label with no successors, apply once some
     mixand leaves.  ``mix`` itself is returned when no mixand changes.
+    Otherwise the successors of each label that some mixand leaves are
+    coded into the input's table, extended by the labels it lacks, and the
+    output frame's table is rebuilt from the labels its rows use.
     """
-    labels = dict.fromkeys(mix.labels)
     moved = np.zeros(len(mix), dtype=bool)
-    succ = {}
-    for alpha in labels:
-        succ[alpha] = model.successor_options(alpha)
-        if succ[alpha] == [(alpha, 1.0)]:
+    table, fanout = mix.table, {}       # code left -> (successor code, probability) pairs
+    for c, alpha in enumerate(mix.table):
+        succ = model.successor_options(alpha)
+        if succ == [(alpha, 1.0)]:
             continue
-        if len(labels) == 1:
+        if len(mix.table) == 1:
             moved[:] = model.transition_mask(alpha, mix.means)
             leaving = moved
         else:
-            rows = [i for i, label in enumerate(mix.labels) if label == alpha]
+            rows = np.flatnonzero(mix.codes == c)
             moved[rows] = model.transition_mask(alpha, mix.means[rows])
             leaving = moved[rows]
         if leaving.any():
-            if not succ[alpha]:
+            if not succ:
                 raise NoSuccessorError(f"discrete state {alpha!r} has no successors")
-            for alpha_next, p in succ[alpha]:
+            for alpha_next, p in succ:
                 if not p >= 0.0:
                     raise ValueError(f"successor probability of {alpha!r} -> {alpha_next!r} "
                                      f"is {p}; it must be non-negative")
-            total = sum(p for _, p in succ[alpha])
+            total = sum(p for _, p in succ)
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"successor probabilities of {alpha!r} sum to {total}")
+            table, successors = _encode([alpha_next for alpha_next, _ in succ], table)
+            fanout[c] = [(s, p) for s, (_, p) in zip(successors.tolist(), succ) if p > 0.0]
     if not moved.any():
         return mix
     out = []
-    for i, (w, alpha, leaves) in enumerate(zip(mix.weights.tolist(), mix.labels, moved.tolist())):
+    for i, (w, c, leaves) in enumerate(zip(mix.weights.tolist(), mix.codes.tolist(),
+                                           moved.tolist())):
         if leaves:
-            out.extend((i, w * p, alpha_next) for alpha_next, p in succ[alpha] if p > 0.0)
+            out.extend((i, w * p, s) for s, p in fanout[c])
         else:
-            out.append((i, w, alpha))
-    rows, weights, labels = map(list, zip(*out))
-    if weights == mix.weights.tolist() and labels == list(mix.labels):
+            out.append((i, w, c))
+    rows, weights, codes = map(list, zip(*out))
+    if weights == mix.weights.tolist() and codes == mix.codes.tolist():
         return mix      # every move kept its label: keep the frame
-    return _frame(np.array(weights), mix.means[rows], mix.covs[rows], labels, mix.time_index)
+    return _frame(np.array(weights), mix.means[rows], mix.covs[rows],
+                  *_encode(_decode(table, codes)), mix.time_index)
 
 
 def step_continuous(
@@ -196,14 +204,15 @@ def step_continuous(
     A level of one label keeps its dynamics output as it is, and a level
     where nothing splits recombines it whole, with no gathers; when that is
     the first level, the output keeps the input's rows in order, and so its
-    ``labels`` tuple.  Splits conserve weight and ``recombine`` makes valid
-    rows from finite points, so the output frame is neither renormalized
-    nor checked.
+    ``codes`` array.  Label codes travel with their rows, children take
+    their parent's, and the input's ``table`` passes through: every input
+    mixand leaves at least one row and the path order keeps the input's,
+    so the labels in use and their order of first use do not change.
+    Splits conserve weight and ``recombine`` makes valid rows from finite
+    points, so the output frame is neither renormalized nor checked.
     """
     assess = lib is not None and math.isfinite(cfg.e_res_max)
-    index: dict = {}    # label -> code; ``names`` maps a code back to its label
-    code = np.array([index.setdefault(alpha, len(index)) for alpha in mix.labels])
-    names = list(index)
+    code = mix.codes
     paths = np.arange(len(mix))[:, None]
     weights, means, covs = mix.weights, mix.means, mix.covs
     out, depth_capped = [], 0
@@ -217,10 +226,10 @@ def step_continuous(
                 rows = np.flatnonzero(code == c)
                 subset = SigmaSet(sigma_set.state_points[rows], sigma_set.noise_points[rows])
             try:
-                points = propagate_points(subset, names[c], model.f_c_batch)
+                points = propagate_points(subset, mix.table[c], model.f_c_batch)
             except ModelEvaluationFailure as exc:
                 raise ModelEvaluationFailure(
-                    f"dynamics evaluation failed for mixand alpha={names[c]!r}: {exc}"
+                    f"dynamics evaluation failed for mixand alpha={mix.table[c]!r}: {exc}"
                 ) from exc
             if propagated is None:      # one label: its output is the level's
                 propagated = points
@@ -253,9 +262,6 @@ def step_continuous(
     if depth_capped:
         log.warning("split depth cap %d reached for %d mixand(s) at step %d; recombined anyway",
                     cfg.max_split_depth, depth_capped, mix.time_index + 1)
-    if depth == 0:      # nothing split: the input's rows, in order
-        _, weights, _, means, covs = out[0]
-        return _frame(weights, means, covs, mix.labels, mix.time_index + 1)
     if len(out) == 1:   # the rows of one depth are in path order already
         _, weights, code, means, covs = out[0]
     else:
@@ -265,8 +271,7 @@ def step_continuous(
         paths, weights, code, means, covs = (np.concatenate(block) for block in zip(*out))
         order = np.lexsort(paths.T[::-1])
         weights, code, means, covs = weights[order], code[order], means[order], covs[order]
-    labels = [names[c] for c in code.tolist()]
-    return _frame(weights, means, covs, labels, mix.time_index + 1)
+    return _frame(weights, means, covs, mix.table, code, mix.time_index + 1)
 
 
 def anticipate(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HybridMixture, gaussian_logpdf, mixture_moments
+from .core import HybridMixture, _decode, _encode, gaussian_logpdf, mixture_moments
 from .engine import DynamicsModel
 from .errors import (
     DegenerateVarianceError,
@@ -52,66 +52,54 @@ def mixture_pdf_points(mix: HybridMixture, xs: np.ndarray, dims=None) -> np.ndar
 # particle truth
 # ---------------------------------------------------------------------------
 
-def _code_dtype(n_labels: int) -> np.dtype:
-    """The smallest unsigned dtype that holds codes 0 .. n_labels - 1."""
-    return np.min_scalar_type(max(n_labels - 1, 0))
-
-
-def _encode(labels) -> tuple:
-    """(the distinct labels in order of first use, one code per label into them)."""
-    index = {}
-    codes = [index.setdefault(label, len(index)) for label in labels]
-    return tuple(index), np.array(codes, dtype=_code_dtype(len(index)))
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ParticleSet:
     """Weighted-equal particle approximation of the true hybrid state.
 
-    The discrete labels are held as a table of distinct labels plus one
-    unsigned code per particle, in the smallest dtype that fits (one byte
-    up to 256 labels); ``alphas`` decodes them on each read.
+    The discrete labels are held as frames hold theirs (``core._encode``):
+    a ``table`` of distinct labels plus one unsigned code per particle, in
+    the smallest dtype that fits (one byte up to 256 labels); ``alphas``
+    decodes them on each read.
     """
 
     states: np.ndarray            # (P, n_x), read-only
-    labels: tuple                 # distinct labels; a table entry may be unused
-    codes: np.ndarray             # (P,) index into ``labels``, read-only
+    table: tuple                  # distinct labels; a table entry may be unused
+    codes: np.ndarray             # (P,) index into ``table``, read-only
     seed: int = 0
 
     def __init__(self, states, alphas, seed: int = 0):
         # A copy, so freezing it leaves the caller's array writeable.
         states = np.atleast_2d(np.array(states, dtype=float))
-        labels, codes = _encode(alphas)
+        table, codes = _encode(alphas)
         if states.shape[0] != codes.shape[0]:
             raise DimensionMismatchError("one discrete label required per particle")
-        self._freeze(states, labels, codes, seed)
+        self._freeze(states, table, codes, seed)
 
     @classmethod
-    def from_codes(cls, states: np.ndarray, labels, codes: np.ndarray, seed: int = 0):
-        """A set whose particle i has label ``labels[codes[i]]``.
+    def from_codes(cls, states: np.ndarray, table, codes: np.ndarray, seed: int = 0):
+        """A set whose particle i has label ``table[codes[i]]``.
 
-        ``labels`` must be distinct.  ``states`` (float) and ``codes``
+        ``table`` must be distinct.  ``states`` (float) and ``codes``
         (unsigned) are kept as given, not copied, and are made read-only.
         """
         states = np.asarray(states, dtype=float)
         if states.ndim != 2 or codes.shape != states.shape[:1]:
             raise DimensionMismatchError("one discrete label required per particle")
         ps = cls.__new__(cls)
-        ps._freeze(states, tuple(labels), codes, seed)
+        ps._freeze(states, tuple(table), codes, seed)
         return ps
 
-    def _freeze(self, states, labels, codes, seed):
+    def _freeze(self, states, table, codes, seed):
         states.setflags(write=False)
         codes.setflags(write=False)
-        for name, value in (("states", states), ("labels", labels), ("codes", codes),
+        for name, value in (("states", states), ("table", table), ("codes", codes),
                             ("seed", seed)):
             object.__setattr__(self, name, value)
 
     @property
     def alphas(self) -> tuple:
         """The label of each particle, in order."""
-        return tuple(np.fromiter(self.labels, dtype=object, count=len(self.labels))[self.codes]
-                     .tolist())
+        return _decode(self.table, self.codes)
 
     @property
     def count(self) -> int:
@@ -142,9 +130,7 @@ def sample_particles(mix: HybridMixture, count: int, seed: int = 0) -> ParticleS
     rng = np.random.default_rng(seed)
     choice = rng.choice(len(mix), size=count, p=mix.weights / mix.weights.sum())
     states = _draw_mixture(rng, mix, choice)
-    # Mixands that share a label share its code.
-    labels, mixand_codes = _encode(mix.labels)
-    return ParticleSet.from_codes(states, labels, mixand_codes[choice], seed)
+    return ParticleSet.from_codes(states, mix.table, mix.codes[choice], seed)
 
 
 def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
@@ -165,16 +151,8 @@ def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
     and label codes as they were made, not copies.
     """
     rng = np.random.default_rng(ps.seed if seed is None else seed)
-    states, codes = ps.states, ps.codes
     # Labels are held as codes into ``table``, which grows as labels appear.
-    table = list(ps.labels)
-    index = {label: c for c, label in enumerate(table)}
-
-    def code(label) -> int:
-        if label not in index:
-            index[label] = len(table)
-            table.append(label)
-        return index[label]
+    states, table, codes = ps.states, ps.table, ps.codes
 
     def groups() -> list:
         """(code, rows) per label in use, in ``repr`` order of the labels.
@@ -206,9 +184,9 @@ def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
                 labels, probs = zip(*model.successor_options(table[c]))
                 probs = np.array(probs)
                 pick = rng.choice(len(labels), size=crossed.size, p=probs / probs.sum())
-                successors = np.array([code(label) for label in labels])
+                table, successors = _encode(labels, table)
                 # A new label may outgrow the codes' dtype.
-                new_codes = new_codes.astype(_code_dtype(len(table)), copy=False)
+                new_codes = new_codes.astype(successors.dtype, copy=False)
                 new_codes[crossed] = successors[pick]
         codes = new_codes
         # Continuous propagation with per-particle noise draws; adding the
@@ -277,7 +255,7 @@ def nll(frames, particle_frames) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrackObservations:
     """Timestamped partial-state measurements of one tracked vehicle."""
 

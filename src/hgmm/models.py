@@ -133,7 +133,7 @@ def cubic_truth_density(prior: Gaussian):
 # road network
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoadSegment:
     """Directed lane segment with a polyline centerline in meters."""
 

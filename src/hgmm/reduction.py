@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Gaussian, HybridMixand, HybridMixture, _frame, normalize
+from .core import Gaussian, HybridMixand, HybridMixture, _decode, _encode, _frame, normalize
 
 log = logging.getLogger(__name__)
 
@@ -161,8 +161,7 @@ def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
     m = len(mix)
     w, mean, cov = mix.weights.copy(), mix.means.copy(), mix.covs.copy()
     logdet = np.linalg.slogdet(cov)[1]
-    codes: dict = {}
-    label = np.array([codes.setdefault(alpha, len(codes)) for alpha in mix.labels])
+    code = mix.codes
     alive = np.ones(m, dtype=bool)
     # A merge's slogdet stack: the new slot's covariance, then its merges
     # with its partners, of which there are at most m - 1.
@@ -175,7 +174,7 @@ def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
     block = max(1, _BLOCK_CELLS // m)
     for r0 in range(0, m, block):
         rows = idx[r0 : r0 + block, None]
-        ia, ib = np.nonzero((label[rows] == label) & (rows < idx))
+        ia, ib = np.nonzero((code[rows] == code) & (rows < idx))
         ia += r0
         for s in range(0, len(ia), _CHUNK):
             a, b = ia[s : s + _CHUNK], ib[s : s + _CHUNK]
@@ -195,7 +194,7 @@ def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
                 "mixand cap %d below distinct discrete hypothesis count; "
                 "dropping hypothesis %r with weight %.3e",
                 cfg.max_mixands,
-                mix.labels[drop],
+                mix.table[code[drop]],
                 w[drop],
             )
             alive[drop] = False
@@ -236,7 +235,11 @@ def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
             scan = costs[rows]
             best[rows] = scan.argmin(axis=1)
             row_min[rows] = scan.min(axis=1)
-    labels = tuple(alpha for alpha, keep in zip(mix.labels, alive) if keep)
+    table, codes = mix.table, code[alive]
+    # Merges keep every label.  Drops come once each alive slot holds a label
+    # of its own, so a drop that empties a label leaves fewer rows than labels.
+    if len(codes) < len(table):
+        table, codes = _encode(_decode(table, codes))
     # Merges keep the total weight; dropped hypotheses do not.
-    return normalize(_frame(w[alive], mean[alive], cov[alive], labels, mix.time_index),
+    return normalize(_frame(w[alive], mean[alive], cov[alive], table, codes, mix.time_index),
                      mix.time_index)

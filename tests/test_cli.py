@@ -515,6 +515,28 @@ class TestEvaluate:
         assert code == 0
         assert "eote total=0.0000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("route", [",", ",,", ""])
+    def test_route_without_a_segment_id_is_usage_error(self, tmp_path, capsys, route):
+        frames = tmp_path / "frames.jsonl"
+        write_frames(frames, [point_mass_frame(1, 0.1, (40.0, 0.0))])
+        code = run_cli("evaluate", "--frames", str(frames), "--metric", "eote",
+                       "--network", "straight", "--route", route)
+        assert code == 2
+        assert "--route" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dt", ["nan", "inf", "-1", "0"])
+    def test_dt_not_finite_and_positive_is_usage_error(self, tmp_path, capsys, dt):
+        # Without the check, nan turned the dt/2 frame-matching gate off and
+        # -1 reported a timestamp mismatch (exit 6).
+        frames = tmp_path / "frames.jsonl"
+        write_frames(frames, [point_mass_frame(1, 0.1, (40.0, 0.0))])
+        obs = tmp_path / "obs.csv"
+        obs.write_text("t,x,y\n0.1,40.0,0.0\n")
+        code = run_cli("evaluate", "--frames", str(frames), "--metric", "ll",
+                       "--observations", str(obs), "--dt", dt)
+        assert code == 2
+        assert "--dt must be finite and positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize("metric", ["eote", "collision"])
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_nonpositive_samples(self, tmp_path, metric, samples):

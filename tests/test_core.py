@@ -26,6 +26,8 @@ from hgmm.errors import (
     NonFiniteValueError,
     NotSymmetricError,
 )
+from hgmm.evaluation import ParticleSet, TrackObservations
+from hgmm.models import RoadSegment
 
 
 class TestMatrixSqrt:
@@ -282,3 +284,17 @@ class TestMixtureValidation:
         raw = [HybridMixand(1.0, 0, g), HybridMixand(1e-9, 1, g)]
         mix = normalize(raw, weight_floor=1e-6)
         assert len(mix) == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ProcessNoise(np.eye(2)),
+    lambda: ParticleSet(np.zeros((3, 2)), ("a", "b", "a")),
+    lambda: TrackObservations(np.array([0.1, 0.2]), np.zeros((2, 2))),
+    lambda: RoadSegment("s", np.array([[0.0, 0.0], [10.0, 0.0]]), 2.0, ()),
+], ids=["ProcessNoise", "ParticleSet", "TrackObservations", "RoadSegment"])
+def test_array_holding_dataclasses_compare_and_hash_by_identity(make):
+    # Field equality would compare arrays, which has no truth value, and
+    # field hashing would hash them, which NumPy refuses.
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2

@@ -267,7 +267,7 @@ class TestParticleSet:
         alphas = ("b", 3, "a", "b", 0, 3, ("a", 1), 0)
         ps = ParticleSet(np.zeros((8, 2)), alphas, seed=4)
         assert ps.alphas == alphas
-        assert ps.labels == ("b", 3, "a", 0, ("a", 1))
+        assert ps.table == ("b", 3, "a", 0, ("a", 1))
         assert ps.codes.tolist() == [0, 1, 2, 0, 3, 1, 4, 3]
         assert ps.seed == 4 and ps.count == 8
 
@@ -282,9 +282,9 @@ class TestParticleSet:
     def test_sampled_and_propagated_codes_are_one_byte(self):
         prior = single(Gaussian(np.array([40.0, 0.0, 9.0, 0.0]), np.eye(4)), alpha="approach")
         ps = sample_particles(prior, 100, seed=1)
-        assert ps.codes.dtype == np.uint8 and ps.labels == ("approach",)
+        assert ps.codes.dtype == np.uint8 and ps.table == ("approach",)
         frame = propagate_particles(ps, BicycleModel(intersection_network()), 1)[0]
-        assert frame.codes.dtype == np.uint8 and len(frame.labels) == 4
+        assert frame.codes.dtype == np.uint8 and len(frame.table) == 4
 
     def test_codes_widen_when_new_labels_outgrow_a_byte(self):
         # Every particle moves on each step to label k + 1 or k + 2, so the
@@ -295,14 +295,14 @@ class TestParticleSet:
         got = propagate_particles(ps, model, 180)
         assert_same_frames(got, reference_propagate(ps, model, 180))
         assert got[0].codes.dtype == np.uint8 and got[-1].codes.dtype == np.uint16
-        assert len(got[-1].labels) > 256
+        assert len(got[-1].table) > 256
 
     def test_labels_shared_by_mixands_share_a_code(self):
         g = Gaussian(np.zeros(2), np.eye(2))
         mix = HybridMixture(tuple(HybridMixand(w, label, g)
                                   for w, label in ((0.3, "a"), (0.3, "b"), (0.4, "a"))))
         ps = sample_particles(mix, 500, seed=2)
-        assert ps.labels == ("a", "b")
+        assert ps.table == ("a", "b")
         assert set(ps.alphas) == {"a", "b"}
 
     @pytest.mark.parametrize("states, alphas", [
