@@ -88,6 +88,11 @@ def run_benchmark(
     """Run the full protocol; the split arm is skipped when no library is given.
 
     Split settings that ``EngineConfig`` rejects raise before any prior is propagated.
+    The split arm keeps its own (5, 0.3), not ``EngineConfig``'s split
+    shape: acceptance criteria 1-4 fix this protocol.  Its cap of 2000
+    mixands makes the engine's split budget ``split_n`` x 2000 rows a step;
+    at depth 2 one prior makes at most ``split_n``^2, so the budget does not
+    bind.
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")

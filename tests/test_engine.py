@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 import hgmm.core
+import hgmm.engine
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -42,7 +43,7 @@ from hgmm.models import (
     ungm_truth_density,
 )
 from hgmm.sigma import propagate_points, recombine
-from hgmm.splitting import apply_split
+from hgmm.splitting import SplitLibrary, apply_split, optimize_canonical_split
 from test_frames import frame_bytes
 
 
@@ -79,11 +80,11 @@ def single(gaussian, alpha="s", w=1.0):
     return HybridMixture((HybridMixand(w, alpha, gaussian),))
 
 
-# -- depth-first reference ----------------------------------------------------
-# The step as it was before propagation went level by level: one mixand at a
-# time off a stack, with per-mixand kernels (SciPy QR and eigh, whole-array
-# norms).  The level-synchronous step must make the same split decisions and
-# match its frame to rounding.
+# -- per-mixand reference -----------------------------------------------------
+# The step level by level, one mixand at a time, with per-mixand kernels
+# (SciPy QR and eigh, whole-array norms) and the split budget written out as
+# a loop.  The engine must make the same split decisions and match its frame
+# to rounding.
 
 
 def _sigma_points_reference(g, noise, lam):
@@ -146,23 +147,44 @@ def _recombine_reference(points, w):
 
 def _step_continuous_reference(mix, model, cfg, lib=None):
     assess = lib is not None and math.isfinite(cfg.e_res_max)
-    pending = [(w, alpha, Gaussian._unchecked(mean, cov), 0) for w, alpha, mean, cov
-               in zip(mix.weights.tolist(), mix.labels, mix.means, mix.covs)][::-1]
+    budget = cfg.split_n * cfg.reduction.max_mixands
+    level = [((i,), w, alpha, Gaussian._unchecked(mean, cov)) for i, (w, alpha, mean, cov)
+             in enumerate(zip(mix.weights.tolist(), mix.labels, mix.means, mix.covs))]
     out = []
-    while pending:
-        weight, alpha, g, depth = pending.pop()
-        chi, ups, w = _sigma_points_reference(g, model.process_noise, None)
-        propagated = np.asarray(model.f_c_batch(alpha, chi, ups), dtype=float)
-        if assess:
-            state = slice(0, 1 + 2 * model.n_x)
-            _, passed, axis = _assess_reference(chi[state], propagated[state], cfg.e_res_max)
-            if not passed and depth < cfg.max_split_depth:
-                children = apply_split((weight, g), axis, lib.get(cfg.split_n, cfg.split_sigma))
-                pending.extend((w, alpha, c, depth + 1) for w, c in children[::-1])
-                continue
-        mean, cov = _recombine_reference(propagated, w)
-        out.append((weight, alpha, mean, cov))
-    weights, labels, means, covs = zip(*out)
+    for depth in range(cfg.max_split_depth + 1):
+        propagated, failed = [], []
+        for i, (path, weight, alpha, g) in enumerate(level):
+            chi, ups, w = _sigma_points_reference(g, model.process_noise, None)
+            points = np.asarray(model.f_c_batch(alpha, chi, ups), dtype=float)
+            propagated.append((points, w))
+            if assess and depth < cfg.max_split_depth:
+                state = slice(0, 1 + 2 * model.n_x)
+                e_res, passed, axis = _assess_reference(chi[state], points[state], cfg.e_res_max)
+                if not passed:
+                    failed.append((weight * e_res, i, axis))
+        # Heaviest weight * e_res first, while the rows kept so far, this
+        # level's rows and the children fit the budget.  Keys within 1e-9 of
+        # the heaviest left are tied, and the lower path among them goes first.
+        splitting = {}
+        while failed and (len(out) + len(level) + (cfg.split_n - 1) * (len(splitting) + 1)
+                          <= budget):
+            top = max(key for key, *_ in failed)
+            pick = next(f for f in failed if f[0] >= top - 1e-9 * top)
+            failed.remove(pick)
+            splitting[pick[1]] = pick[2]
+        next_level = []
+        for i, ((path, weight, alpha, g), (points, w)) in enumerate(zip(level, propagated)):
+            if i in splitting:
+                children = apply_split((weight, g), splitting[i],
+                                       lib.get(cfg.split_n, cfg.split_sigma))
+                next_level.extend((path + (j,), cw, alpha, c)
+                                  for j, (cw, c) in enumerate(children))
+            else:
+                out.append((path, weight, alpha, *_recombine_reference(points, w)))
+        if not next_level:
+            break
+        level = next_level
+    _, weights, labels, means, covs = zip(*sorted(out, key=lambda row: row[0]))
     return normalize((weights, means, covs, labels), mix.time_index + 1)
 
 
@@ -523,6 +545,54 @@ class TestLevelSynchronousStep:
         assert type(record.args[1]) is int and record.args[1] == 5
 
 
+WIDE_PRIOR = Gaussian(np.array([20.0, 0.0, 9.0, 0.0]), np.diag([2.0, 2.0, 2.0, 0.1]))
+
+
+class TestSplitBudget:
+    """At most split_n x max_mixands rows after splitting, heaviest weight x e_res first."""
+
+    def test_budget_binds_on_the_wide_prior(self, lib):
+        # Cap 4 allows 20 rows: the prior's 5 children all fail, and only 3
+        # of them fit 5 more children each.  Cap 5 allows 25: all 5 split.
+        prior = single(WIDE_PRIOR, alpha="approach")
+        model = BICYCLES["turn"]
+        cfgs = {cap: EngineConfig(e_res_max=0.05, reduction=ReductionConfig(cap)) for cap in (4, 5)}
+        frames = {cap: step_continuous(prior, model, cfg, lib) for cap, cfg in cfgs.items()}
+        assert {cap: len(frame) for cap, frame in frames.items()} == {4: 17, 5: 25}
+        assert_frames_close(frames[4], _step_continuous_reference(prior, model, cfgs[4], lib))
+
+    def test_tied_rows_split_the_lower_path_first(self, lib):
+        # Three rows of one Gaussian fail alike; the budget (10 rows) lets one
+        # of them split.  The first two tie on weight x e_res to the bit, and
+        # the model ignores the label, so only the path can choose.
+        cfg = EngineConfig(e_res_max=0.05, max_split_depth=1, reduction=ReductionConfig(2))
+        for labels in (("b", "a", "c"), ("a", "b", "c")):
+            mix = HybridMixture(tuple(HybridMixand(w, alpha, WIDE_PRIOR)
+                                      for w, alpha in zip((0.4, 0.4, 0.2), labels)))
+            got = step_continuous(mix, CurvedModel(np.eye(4)), cfg, lib)
+            assert got.labels == (labels[0],) * cfg.split_n + labels[1:]
+
+    @pytest.mark.parametrize("cap", [2, 10])
+    def test_one_child_split_gives_the_frames_of_no_split(self, cap):
+        # n = 1 adds no row, so no budget arithmetic may divide by n - 1; with
+        # cap 2 the four rows already exceed the budget of 2.
+        lib = SplitLibrary({(1, 0.4): optimize_canonical_split(1, 0.4)})
+        mix = random_prior(np.random.default_rng(7), 4, "turn")
+        cfg = EngineConfig(e_res_max=0.0, split_n=1, reduction=ReductionConfig(cap))
+        want = step_continuous(mix, BICYCLES["turn"], cfg)
+        assert frame_bytes(step_continuous(mix, BICYCLES["turn"], cfg, lib)) == frame_bytes(want)
+
+    def test_depth_four_hands_the_reducer_at_most_the_budget(self, lib, monkeypatch):
+        # The README prior at depth 4: without the budget, step 2 alone
+        # handed the reducer 3,794 rows and took 16.5 s.
+        cfg = EngineConfig(e_res_max=0.05, max_split_depth=4)
+        sizes = []
+        monkeypatch.setattr(hgmm.engine, "reduce_mixture",
+                            lambda mix, rcfg: sizes.append(len(mix)) or reduce_mixture(mix, rcfg))
+        anticipate(single(WIDE_PRIOR, alpha="approach"), BICYCLES["turn"], cfg, lib)
+        assert max(sizes) <= cfg.split_n * cfg.reduction.max_mixands
+
+
 class TestLevelWithoutSplits:
     """A level where nothing splits: one dynamics call per label, over all its rows."""
 
@@ -771,7 +841,7 @@ class TestAnticipate:
         assert max(map(len, split)) == 10 and max(map(len, unsplit)) == 1
         truth = propagate_particles(sample_particles(prior, 2000, seed=0), model, cfg.n_steps,
                                     seed=0)
-        # About 1.39 against 2.12 nats with 20k particles.
+        # About 1.26 against 2.12 nats with 20k particles.
         assert nll(split, truth).mean() < nll(unsplit, truth).mean() - 0.5
 
     @pytest.mark.parametrize("name", ["split_n", "max_split_depth"])

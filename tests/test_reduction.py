@@ -411,25 +411,33 @@ class TestAgainstReference:
         assert mixture_bytes(out) == mixture_bytes(reference_reduce(mix, 4))
 
 
+def _same_label_pairs(mix):
+    """The pairs whose costs the reducer's fill computes: rows of one label."""
+    counts = np.bincount(mix.codes)
+    return int((counts * (counts - 1) // 2).sum())
+
+
 @pytest.fixture(scope="module")
 def split_heavy_frames():
-    """The reducer's inputs on the split_heavy prior at the intersection.
+    """The reducer's inputs on the split_heavy prior at the intersection, at cap 40.
 
-    Returns the first 100-mixand frame, one label, and the largest frame
-    holding several labels.
+    Returns the first frame of one label and the frame holding several
+    labels with the most same-label pairs.  The split budget holds a frame
+    to split_n x cap rows, so a cap of 40 (200 rows) is what still gives
+    both frames more pairs than one chunk of the fill.
     """
     prior = HybridMixture((HybridMixand(1.0, "approach", Gaussian(
         np.array([20.0, 0.0, 9.0, 0.0]), np.diag([2.0, 2.0, 2.0, 0.1]))),))
-    cfg = EngineConfig(e_res_max=0.05, reduction=ReductionConfig(4), max_split_depth=2,
+    cfg = EngineConfig(e_res_max=0.05, reduction=ReductionConfig(40), max_split_depth=2,
                        normalization="raw", horizon=3.5)
     seen = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hgmm.engine, "reduce_mixture",
                    lambda mix, rcfg: seen.append(mix) or reduce_mixture(mix, rcfg))
         anticipate(prior, BicycleModel(builtin_network("intersection")), cfg, default_library())
-    one_label = next(mix for mix in seen if len(mix) == 100)
-    several = max((mix for mix in seen if len(set(mix.labels)) > 2), key=len)
-    assert len(set(one_label.labels)) == 1 and len(several) > 4
+    one_label = next(mix for mix in seen if len(set(mix.labels)) == 1 and len(mix) > 40)
+    several = max((mix for mix in seen if len(set(mix.labels)) > 2), key=_same_label_pairs)
+    assert min(map(_same_label_pairs, (one_label, several))) > hgmm.reduction._CHUNK
     return {"one_label": one_label, "several_labels": several}
 
 
