@@ -233,8 +233,10 @@ def step_continuous(
     On the wide README prior the budget binds at ``e_res_max=0.05`` (250
     rows become 50 at cap 10, 100 become 20 at cap 4) and at depth 4 (625
     rows become 50 at 0.1); at the defaults that prior peaks at 34 of 50.
+    A one-child split (``split_n`` 1) would give back its parent, so with
+    it no level is assessed and the step is the step without splitting.
     """
-    assess = lib is not None and math.isfinite(cfg.e_res_max)
+    assess = lib is not None and math.isfinite(cfg.e_res_max) and cfg.split_n > 1
     code = mix.codes
     paths = np.arange(len(mix))[:, None]
     weights, means, covs = mix.weights, mix.means, mix.covs
@@ -312,7 +314,7 @@ def _within_budget(failed: np.ndarray, key: np.ndarray, room: int, growth: int):
     if room < 0:
         return None
     failing = np.count_nonzero(failed)
-    splits = room // growth if growth else failing
+    splits = room // growth
     if splits >= failing:
         return failed
     if splits <= 0:

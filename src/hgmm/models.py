@@ -207,11 +207,26 @@ class RoadNetwork:
             return RoadNetwork.from_dict(json.load(fh))
 
 
-# Batches of fewer rows take the dense projection: below this the pruned
-# path's fixed cost outweighs the cells it skips (sweep in CHANGES.md).
-_PRUNE_MIN_ROWS = 768
-# Most segments per block of the pruned projection.
-_BLOCK_SEGMENTS = 4
+# Batches of fewer rows take the dense projection: below this the grid
+# path's fixed cost outweighs the cells it skips.  On the 32-35-segment
+# builtin polylines the grid took 37 us against 34 dense at 52 rows, and
+# 43 us against 66 at 128 rows (sweep in CHANGES.md).
+_GRID_MIN_ROWS = 128
+# Polylines of fewer segments always project densely, at a few cells a row.
+_GRID_MIN_SEGMENTS = 5
+# Side of a grid cell and the band around the polyline whose cells hold
+# short candidate lists (m).  On the particle oracle's batches a row in the
+# band has 2.9 candidate segments on average (p50 1, p99 12) against 32-35
+# in the dense pass, and 0.2% of its rows fall outside the band.
+_GRID_CELL = 0.5
+_GRID_BAND = 3.0
+# Most cells of one grid: a larger polyline gets larger cells and band.
+_GRID_MAX_CELLS = 1 << 18
+# About this many (cell or row, segment) pairs are costed at once, by the
+# build and by the projection.  Each temporary then stays at or below
+# 160 kB; at 8192 and 16384 pairs the particle oracle ran 17% and 8%
+# slower, unchunked it raised the oracle's peak RSS by 5 MB (CHANGES.md).
+_GRID_CHUNK = 1 << 12
 
 
 def _cells(x, y, px, py, dx, dy, seg_len):
@@ -243,6 +258,25 @@ def _cells(x, y, px, py, dx, dy, seg_len):
     return t, np.sqrt(ex, out=ex)
 
 
+@dataclass(frozen=True, eq=False)
+class _Grid:
+    """Candidate segments of each cell of a uniform grid over a polyline.
+
+    Cell (ix, iy) spans [lo + (ix, iy) / inv_cell, lo + (ix + 1, iy + 1) / inv_cell)
+    and is entry c = iy * nx + ix of the CSR lists: its segments are
+    ``segs[starts[c]:starts[c] + counts[c]]``, ascending.  A cell outside
+    the band lists every segment.
+    """
+
+    lo: np.ndarray          # (2,) lower corner
+    inv_cell: float         # 1 / cell side
+    top: np.ndarray         # (2,) largest cell index per axis, as floats
+    nx: int
+    starts: np.ndarray      # per cell; each array of the least unsigned type that fits
+    counts: np.ndarray      # per cell
+    segs: np.ndarray        # per listed (cell, segment) pair
+
+
 def _as_rows(a) -> np.ndarray:
     """``a`` as a float array of at least two dimensions; a 2-D float array is ``a`` itself."""
     a = np.asarray(a, dtype=float)
@@ -264,25 +298,71 @@ class Polyline:
         self.length = float(self.cum[-1])
         # `reaches`' operands as floats: cum[-2], then the last segment's start and direction.
         self._last_piece = (float(self.cum[-2]), *self.points[-2].tolist(), *self.dirs[-1].tolist())
-        self._init_blocks()
-
-    def _init_blocks(self):
-        """Blocks of consecutive segments, each with the bounding box of its segments."""
-        n_seg = len(self.seg_len)
-        n_blocks = -(-n_seg // _BLOCK_SEGMENTS)
-        bounds = np.arange(n_blocks + 1) * n_seg // n_blocks
-        width = int(np.diff(bounds).max())
-        # (blocks, width) segment indices; a short block repeats its last segment.
-        seg = np.minimum(bounds[:-1, None] + np.arange(width), bounds[1:, None] - 1)
-        start, end = self.points[:-1], self.points[1:]
-        self._block_lo = np.minimum.reduceat(np.minimum(start, end), bounds[:-1]).T[:, :, None]
-        self._block_hi = np.maximum.reduceat(np.maximum(start, end), bounds[:-1]).T[:, :, None]
-        self._block_seg = seg.T                 # (width, blocks)
-        self._block_cells = np.concatenate(    # (5 * width, blocks): _cells' segment arguments
-            [v[seg].T for v in (start[:, 0], start[:, 1], self.dirs[:, 0], self.dirs[:, 1],
-                                self.seg_len)])
+        # _cells' segment arguments, one row each.
+        self._seg_table = np.stack([*self.points[:-1].T, *self.dirs.T, self.seg_len])
         # Bounds every magnitude in a cell (|x| + |y| added per row); see `project`.
         self._extent = float(np.abs(self.points).max() + self.seg_len.max())
+        self._grid = self._build_grid() if len(self.seg_len) >= _GRID_MIN_SEGMENTS else None
+
+    def _build_grid(self) -> _Grid:
+        """Each cell's list of the segments that may hold a closest point; see `project`.
+
+        Only pairs of a cell and a segment whose bounding box, widened by
+        the farthest a listed segment can be, holds the cell's centre are
+        costed, about `_GRID_CHUNK` pairs at a time.
+        """
+        span = np.ptp(self.points, axis=0) + 2.0 * (_GRID_BAND + _GRID_CELL)
+        scale = max(1.0, math.sqrt(span.prod() / _GRID_CELL**2 / _GRID_MAX_CELLS))
+        h, band = _GRID_CELL * scale, _GRID_BAND * scale
+        # A whole cell past the band on every side: the edge cells lie outside it.
+        lo = self.points.min(axis=0) - (band + h)
+        shape = np.ceil((self.points.max(axis=0) + (band + h) - lo) / h).astype(np.intp) + 1
+        margin = 1e-9 * (float(np.abs([lo, lo + shape * h]).max()) + self._extent)
+        reach = math.sqrt(2.0) * h + margin         # twice the half-diagonal, plus the margin
+        # Each segment's box widened by more than band + reach, as a
+        # rectangle of cells; one entry per row of cells of each rectangle.
+        start, end = self.points[:-1], self.points[1:]
+        pad = band + reach + margin
+        first = np.floor((np.minimum(start, end) - pad - lo) / h).astype(np.intp)
+        last = np.floor((np.maximum(start, end) + pad - lo) / h).astype(np.intp)
+        np.maximum(first, 0, out=first)
+        np.minimum(last, shape - 1, out=last)
+        wide, high = (last - first + 1).T
+        row_seg = np.repeat(np.arange(len(high)), high)
+        row_iy = first[row_seg, 1] + np.arange(len(row_seg)) - np.repeat(np.cumsum(high) - high, high)
+        row_ix, row_wide = first[row_seg, 0], wide[row_seg]
+        breaks = np.searchsorted(np.cumsum(row_wide),
+                                 np.arange(_GRID_CHUNK, row_wide.sum(), _GRID_CHUNK))
+        cells, segs, dists = [], [], []
+        for rows in np.split(np.arange(len(row_seg)), breaks):
+            n = row_wide[rows]
+            ix = np.repeat(row_ix[rows], n) + np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+            iy = np.repeat(row_iy[rows], n)
+            seg = np.repeat(row_seg[rows], n)
+            _, dist = _cells(lo[0] + (ix + 0.5) * h, lo[1] + (iy + 0.5) * h,
+                             *self._seg_table.take(seg, axis=1))
+            # Rounding is monotone, so every pair listed below passes this.
+            near = dist <= band + reach
+            cells.append((iy * shape[0] + ix)[near])
+            segs.append(seg[near])
+            dists.append(dist[near])
+        cell, seg, dist = (np.concatenate(v) for v in (cells, segs, dists))
+        # Group the pairs by cell, each cell's segments ascending.
+        order = np.argsort(cell, kind="stable")
+        cell, seg, dist = cell.take(order), seg.take(order), dist.take(order)
+        head = np.flatnonzero(np.diff(cell, prepend=-1))    # each cell's first pair
+        least = np.repeat(np.minimum.reduceat(dist, head), np.diff(head, append=len(cell)))
+        listed = (least <= band) & (dist <= least + reach)
+        cell, seg = cell[listed], seg[listed]
+        head = np.flatnonzero(np.diff(cell, prepend=-1))
+        # A cell without a list gets every segment, appended once after the lists.
+        n_seg = len(self.seg_len)
+        starts = np.full(int(shape.prod()), len(seg), dtype=np.min_scalar_type(len(seg)))
+        counts = np.full(len(starts), n_seg, dtype=np.min_scalar_type(n_seg))
+        starts[cell.take(head)] = head
+        counts[cell.take(head)] = np.diff(head, append=len(cell))
+        return _Grid(lo, 1.0 / h, (shape - 1).astype(float), int(shape[0]), starts, counts,
+                     np.concatenate([seg, np.arange(n_seg)]).astype(np.min_scalar_type(n_seg - 1)))
 
     def point_at(self, s):
         s = np.asarray(s, dtype=float)
@@ -301,26 +381,34 @@ class Polyline:
         """Closest-point projection: returns (arclength s, distance) per row.
 
         The closest point is on the first segment that attains the row's
-        least rounded distance.  Batches of `_PRUNE_MIN_ROWS` rows or more
-        compute only the segments that may hold it.  For each row and block,
-        the distance to the block's bounding box bounds its segments'
-        distances from below; the row's best block by that bound gives an
-        upper bound u on its least distance.  A block is skipped only when
-        its bound exceeds u by the margin 1e-9 (|x| + |y| + extent), where
-        extent is the largest point coordinate plus the longest segment.
-        Rounding moves every computed distance and bound by a few units of
-        2^-53 times that magnitude at most, far less than the margin, so
-        each skipped segment's rounded distance is strictly greater than the
-        row's least one.  The first segment attaining the least distance is
-        therefore always computed, and the first-index minimum over the
-        computed cells equals the dense one, ties included.
+        least rounded distance.  Batches of `_GRID_MIN_ROWS` rows or more
+        compute only the segments listed for the row's cell of a uniform
+        grid, built with the polyline.  For a cell whose centre c is within
+        the band of the polyline (least distance d(c) <= band), the list
+        holds, in ascending order, every segment whose distance from c is
+        at most d(c) + 2r + margin, where r is the cell's half-diagonal and
+        the margin is 1e-9 of the grid's largest coordinate plus extent (the
+        largest point coordinate plus the longest segment).  A row p in the
+        cell is within r of c, and distance to a set is 1-Lipschitz, so the
+        segment closest to p is within d(p) + r <= d(c) + 2r of c.  Rounding
+        moves every computed distance, and a row that floors into the cell
+        from just outside it, by a few units of 2^-53 times those magnitudes
+        at most, far less than the margin: every segment whose rounded
+        distance from p ties the least one is listed.  The first-index
+        minimum over the listed cells therefore equals the dense one, ties
+        included.  A cell outside the band lists every segment, and so do
+        the grid's edge cells, into which rows outside the grid are clipped.
+        A batch holding an entry that is not finite or too large to square
+        takes the dense projection whole.  The cell side is `_GRID_CELL`
+        and the band `_GRID_BAND`, both scaled up for a polyline whose grid
+        would have more than `_GRID_MAX_CELLS` cells.
         """
         xy = _as_rows(xy)
         # The magnitude test keeps every square finite; NaN and inf fail it too.
-        if (len(xy) < _PRUNE_MIN_ROWS or len(self.seg_len) <= _BLOCK_SEGMENTS
+        if (len(xy) < _GRID_MIN_ROWS or self._grid is None
                 or not np.abs(xy).max() + self._extent < 1e150):
             return self._project_dense(xy)
-        return self._project_pruned(xy)
+        return self._project_grid(xy)
 
     def reaches(self, xy: np.ndarray, s_min: float) -> np.ndarray:
         """``project(xy)[0] >= s_min`` for every row, projecting only rows that may pass.
@@ -355,55 +443,51 @@ class Polyline:
 
     def _project_dense(self, xy):
         """Every (row, segment) cell, in (P, S) arrays."""
-        t, dist = _cells(xy[:, :1], xy[:, 1:2], self.points[:-1, 0], self.points[:-1, 1],
-                         self.dirs[:, 0], self.dirs[:, 1], self.seg_len)
+        t, dist = _cells(xy[:, :1], xy[:, 1:2], *self._seg_table)
         best = dist.argmin(axis=1)      # on rounded distances: ties go to the lowest index
         # Each row's winning cell, as a flat index into the C-ordered (P, S) arrays.
         flat = np.arange(0, dist.size, dist.shape[1]) + best
         return self.cum[best] + t.take(flat), dist.take(flat)
 
-    def _project_pruned(self, xy):
-        """The cells of the blocks that may hold each row's closest point.
+    def _project_grid(self, xy):
+        """Each row by the segments listed for its cell, about `_GRID_CHUNK` (row, segment)
+        pairs at a time."""
+        grid = self._grid
+        at = xy[:, :2] - grid.lo
+        at *= grid.inv_cell
+        np.floor(at, out=at)
+        np.maximum(at, 0.0, out=at)         # rows outside the grid land in its edge cells
+        np.minimum(at, grid.top, out=at)
+        at = at.astype(np.intp)
+        cell = at[:, 1] * grid.nx
+        cell += at[:, 0]
+        count = grid.counts.take(cell).astype(np.intp)
+        ends = np.cumsum(count)
+        bounds = [0, *np.searchsorted(ends, np.arange(_GRID_CHUNK, ends[-1], _GRID_CHUNK)), len(xy)]
+        s, dist = np.empty(len(xy)), np.empty(len(xy))
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            if a < b:
+                s[a:b], dist[a:b] = self._project_listed(xy[a:b], cell[a:b], count[a:b])
+        return s, dist
 
-        Arrays run over rows along their last axis, so every operation
-        loops over the batch.
-        """
-        x, y = np.ascontiguousarray(xy[:, :2].T)
-        lo, hi = self._block_lo, self._block_hi
-        lb2 = lo[0] - x                 # (blocks, P) squared distance to each block's box
-        np.maximum(lb2, x - hi[0], out=lb2)
-        np.maximum(lb2, 0.0, out=lb2)
-        lb2 *= lb2
-        gy = lo[1] - y
-        np.maximum(gy, y - hi[1], out=gy)
-        np.maximum(gy, 0.0, out=gy)
-        lb2 += np.square(gy, out=gy)
-        first = lb2.argmin(axis=0)
-        dist, t, seg = self._block_min(x, y, first)
-        limit = dist + 1e-9 * (np.abs(x) + np.abs(y) + self._extent)
-        cand = lb2 <= limit * limit
-        cand[first, np.arange(len(x))] = False
-        blocks, rows = np.nonzero(cand)
-        if rows.size:
-            dk, tk, sk = self._block_min(x[rows], y[rows], blocks)
-            # First-index minimum over all computed cells: least distance, then least segment.
-            least = dist.copy()
-            np.minimum.at(least, rows, dk)
-            seg = np.where(dist == least, seg, len(self.seg_len))
-            tie = dk == least[rows]
-            np.minimum.at(seg, rows[tie], sk[tie])
-            won = tie & (sk == seg[rows])
-            t[rows[won]] = tk[won]
-            dist = least
-        return self.cum[seg] + t, dist
-
-    def _block_min(self, x, y, blocks):
-        """(distance, t, segment) of the first closest segment of block blocks[i] to row i."""
-        px, py, dx, dy, seg_len = np.split(self._block_cells[:, blocks], 5)
-        t, dist = _cells(x, y, px, py, dx, dy, seg_len)
-        j = dist.argmin(axis=0)
-        cols = np.arange(len(blocks))
-        return dist[j, cols], t[j, cols], self._block_seg[j, blocks]
+    def _project_listed(self, xy, cell, count):
+        """The cells of each row's listed segments, flat over (row, segment) pairs."""
+        ends = np.cumsum(count)
+        first = ends - count
+        pos = np.arange(ends[-1])
+        # Each pair's slot in the candidate lists.
+        slot = np.repeat(self._grid.starts.take(cell) - first, count)
+        slot += pos
+        seg = self._grid.segs.take(slot)
+        t, dist = _cells(np.repeat(xy[:, 0], count), np.repeat(xy[:, 1], count),
+                         *self._seg_table.take(seg, axis=1))
+        # NumPy orders complex numbers lexicographically, so this is each row's
+        # least distance and then its first pair attaining it: the lowest segment.
+        key = np.empty(len(pos), dtype=complex)
+        key.real, key.imag = dist, pos
+        best = np.minimum.reduceat(key, first)
+        win = best.imag.astype(np.intp)
+        return self.cum.take(seg.take(win)) + t.take(win), best.real
 
 
 # ---------------------------------------------------------------------------

@@ -573,14 +573,20 @@ class TestSplitBudget:
             assert got.labels == (labels[0],) * cfg.split_n + labels[1:]
 
     @pytest.mark.parametrize("cap", [2, 10])
-    def test_one_child_split_gives_the_frames_of_no_split(self, cap):
+    def test_one_child_split_gives_the_frames_of_no_split(self, cap, caplog):
         # n = 1 adds no row, so no budget arithmetic may divide by n - 1; with
-        # cap 2 the four rows already exceed the budget of 2.
+        # cap 2 the four rows already exceed the budget of 2.  No level is
+        # assessed: one dynamics call per label, and no depth-cap record.
         lib = SplitLibrary({(1, 0.4): optimize_canonical_split(1, 0.4)})
         mix = random_prior(np.random.default_rng(7), 4, "turn")
         cfg = EngineConfig(e_res_max=0.0, split_n=1, reduction=ReductionConfig(cap))
         want = step_continuous(mix, BICYCLES["turn"], cfg)
-        assert frame_bytes(step_continuous(mix, BICYCLES["turn"], cfg, lib)) == frame_bytes(want)
+        model = CountingBicycle(builtin_network("turn"))
+        with caplog.at_level(logging.WARNING, logger="hgmm.engine"):
+            got = step_continuous(mix, model, cfg, lib)
+        assert frame_bytes(got) == frame_bytes(want)
+        assert not [r for r in caplog.records if "split depth cap" in r.msg]
+        assert [alpha for alpha, _ in model.calls] == list(dict.fromkeys(mix.labels))
 
     def test_depth_four_hands_the_reducer_at_most_the_budget(self, lib, monkeypatch):
         # The README prior at depth 4: without the budget, step 2 alone

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from hgmm import Gaussian
 from hgmm.models import (
-    _BLOCK_SEGMENTS,
-    _PRUNE_MIN_ROWS,
+    _GRID_BAND,
+    _GRID_CELL,
+    _GRID_MAX_CELLS,
+    _GRID_MIN_ROWS,
+    _GRID_MIN_SEGMENTS,
     BicycleConfig,
     BicycleModel,
     Polyline,
@@ -174,8 +177,59 @@ def assert_projects_like_dense(line, xy):
     assert np.array_equal(s, s_ref) and np.array_equal(d, d_ref)
 
 
-# Batches this large take the pruned projection on polylines of two or more blocks.
-LARGE = 2 * _PRUNE_MIN_ROWS
+def _grid_polylines():
+    """Every polyline that builds a grid: the builtin ones and four shapes of their own."""
+    chords = np.arange(21)[:, None] * np.array([0.3, 0.0])
+    corner = chords[-1] + 40.0 / math.sqrt(2.0)
+    arm = _GRID_MIN_SEGMENTS
+    lines = {
+        # One 40 m diagonal among 0.3 m chords.
+        "long-among-chords": Polyline(np.vstack([chords, corner + np.arange(21)[:, None] * [0.0, 0.3]])),
+        # A V of several segments an arm: rows on its axis tie between the arms.
+        "v-arms": Polyline(np.vstack([np.linspace([-1.0, 1.0], [0.0, 0.0], arm),
+                                      np.linspace([0.0, 0.0], [1.0, 1.0], arm)[1:]])),
+        # Collinear pieces: a bounding box of zero width, and ties at every vertex.
+        "zero-width": Polyline(np.column_stack([np.full(7, 5.0), [0.0, 1.0, 2.5, 3.0, 7.0, 10.0, 20.0]])),
+        # 3 km zigzags: at 0.5 m the grid would have 36M cells, so its cells are larger.
+        "wide": Polyline(np.column_stack([np.linspace(0.0, 3000.0, 11), 3000.0 * (np.arange(11) % 2)])),
+    }
+    lines.update({k: v for k, v in BUILTIN_POLYLINES.items() if len(v.seg_len) >= _GRID_MIN_SEGMENTS})
+    return lines
+
+
+GRID_POLYLINES = _grid_polylines()
+
+
+def ulp_box(points, k=4):
+    """Every point within k ulps, per coordinate, of each of ``points``."""
+    steps = np.arange(-k, k + 1.0)
+    steps = np.column_stack([np.repeat(steps, steps.size), np.tile(steps, steps.size)])
+    return (points[:, None, :] + steps * np.spacing(np.abs(points))[:, None, :]).reshape(-1, 2)
+
+
+def grid_rows(line, rng):
+    """Rows for the grid projection, in one batch: within 4 ulps of cell
+    corners near the polyline; on normals at the band's edge and past it;
+    around the arc centre (40, 6); and outside the grid, with rows near the
+    polyline among them."""
+    grid = line._grid
+    side = 1.0 / grid.inv_cell
+    near = line.point_at(rng.uniform(0.0, line.length, 40)) + rng.normal(0.0, 1.0, (40, 2))
+    corners = grid.lo + np.round((near - grid.lo) * grid.inv_cell) * side
+    seg = rng.integers(len(line.seg_len), size=60)
+    foot = line.points[seg] + line.dirs[seg] * rng.uniform(0.0, line.seg_len[seg])[:, None]
+    normal = line.dirs[seg] @ np.array([[0.0, 1.0], [-1.0, 0.0]]) * rng.choice([-1.0, 1.0], (60, 1))
+    offsets = _GRID_BAND + np.array([-side, -1e-9, 0.0, 1e-9, 0.5 * side, side, 2.0 * side])
+    band = (foot[:, None, :] + offsets[:, None] * normal[:, None, :]).reshape(-1, 2)
+    top = grid.lo + (grid.top + 1.0) * side
+    outside = np.array([grid.lo - 1e-9, grid.lo - side, top, top + 1e-9, [grid.lo[0], top[1]],
+                        [1e100, 0.0], [-1e100, 1e100], [0.0, -1e100]])
+    return np.vstack([ulp_box(corners), near, band, ulp_box(np.array([[40.0, 6.0]])), outside,
+                      line.points])
+
+
+# Batches this large take the grid projection on polylines of `_GRID_MIN_SEGMENTS` or more segments.
+LARGE = 2 * _GRID_MIN_ROWS
 
 
 class TestProjectAgainstDense:
@@ -224,18 +278,40 @@ class TestProjectAgainstDense:
         far = line.points.mean(axis=0) + 1000.0 * np.column_stack([np.cos(angle), np.sin(angle)])
         assert_projects_like_dense(line, far)
 
-    def test_large_batch_ties_across_blocks(self):
-        # The V's arms in one block each: points on its axis tie between the
-        # two blocks, as in the 2-segment V above.
-        arm = _BLOCK_SEGMENTS + 1
+    def test_large_batch_ties_between_arms(self):
+        # The V's arms of several segments each, so the grid projects: points
+        # on its axis tie between the arms, as in the 2-segment V above.
+        arm = _GRID_MIN_SEGMENTS
         line = Polyline(np.vstack([np.linspace([-1.0, 1.0], [0.0, 0.0], arm),
                                    np.linspace([0.0, 0.0], [1.0, 1.0], arm)[1:]]))
         xy = np.column_stack([np.zeros(20001), np.linspace(0.5, 3.0, 20001)])
         assert_projects_like_dense(line, xy)
 
+    @pytest.mark.parametrize("name", sorted(GRID_POLYLINES))
+    def test_grid_edges_band_and_outside(self, name):
+        line = GRID_POLYLINES[name]
+        xy = grid_rows(line, np.random.default_rng(sorted(GRID_POLYLINES).index(name)))
+        assert len(xy) >= _GRID_MIN_ROWS
+        assert_projects_like_dense(line, xy)
+        for rows in np.array_split(xy, 7):
+            assert_projects_like_dense(line, rows)
+        # Some rows fall in cells outside the band, whose list holds every segment.
+        grid = line._grid
+        at = np.clip(np.floor((xy - grid.lo) * grid.inv_cell), 0.0, grid.top).astype(int)
+        unlisted = grid.starts[at[:, 1] * grid.nx + at[:, 0]] == len(grid.segs) - len(line.seg_len)
+        assert 0 < unlisted.sum() < len(xy) // 2
+
+    def test_wide_polyline_gets_larger_cells(self):
+        line = GRID_POLYLINES["wide"]
+        assert 1.0 / line._grid.inv_cell > 10 * _GRID_CELL
+        assert len(line._grid.starts) <= 1.1 * _GRID_MAX_CELLS
+        rng = np.random.default_rng(8)
+        near = line.point_at(rng.uniform(0.0, line.length, LARGE)) + rng.normal(0.0, 30.0, (LARGE, 2))
+        assert_projects_like_dense(line, near)
+
     def test_large_batch_long_segment_among_short_chords(self):
-        # One 40 m diagonal among 0.3 m chords: its block's box is loose, so
-        # many rows compute more than one block.
+        # One 40 m diagonal among 0.3 m chords: cells near the corner list
+        # both the diagonal and several chords.
         chords = np.arange(21)[:, None] * np.array([0.3, 0.0])
         turn = chords[-1] + 40.0 / math.sqrt(2.0)
         line = Polyline(np.vstack([chords, turn + np.arange(21)[:, None] * np.array([0.0, 0.3])]))
@@ -289,7 +365,7 @@ class TestReaches:
     def test_matches_project_on_builtin_lines(self, name):
         line = BUILTIN_POLYLINES[name]
         xy = end_batch(line, np.random.default_rng(sorted(BUILTIN_POLYLINES).index(name)))
-        assert len(xy) >= _PRUNE_MIN_ROWS      # the whole batch takes the pruned projection
+        assert len(xy) >= _GRID_MIN_ROWS      # the whole batch takes the grid projection
         for s_min in self.thresholds(line):
             assert_reaches_like_project(line, xy, s_min)
             assert_reaches_like_project(line, np.tile(xy, (2, 1)), s_min)
