@@ -342,6 +342,12 @@ def anticipate(
     reducer when it shrinks the frame.  Propagation is sequential.
     ``threads`` only accepts 1; it remains for callers that still pass it
     (``perfbench/workloads.py``).
+
+    Cost bound: whatever the prior, each step propagates at most
+    ``max_split_depth`` + 1 levels and holds at most B = ``split_n`` x
+    ``reduction.max_mixands`` rows after splitting (``step_continuous``'s
+    budget), unless the fan-out alone left F > B rows, when nothing
+    splits.  So ``reduce_mixture`` gets at most max(B, F) rows.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads}")

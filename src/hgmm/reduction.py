@@ -19,15 +19,21 @@ call.  The matrix is filled once per call.  A merge writes its product,
 ``i`` and retires slot ``j``, so the alive slots keep the input order.
 One kernel call then costs slot i against its alive same-label partners,
 and its ``slogdet`` call also takes slot i's new covariance, stacked with
-the merged ones in a buffer allocated once per reduction.  Each row's
-minimum is cached, so finding the next merge scans M values rather than
-M^2 cells; a merge rescans only the rows whose minimum sat on slot i or j
-and those whose new cell is at most their cached minimum.  Costs within a
-relative band of the least one are tied, and ties go to the lowest
-``(i, j)``: mirror-image split children give costs that are equal in exact
-arithmetic, and the result depends neither on object identity nor on how
-their last bit rounds.  The matrix takes 8 M^2 bytes: 80 KB at the 100
-mixands of a split-heavy step, 115 MB at 3800.
+the merged ones in a buffer allocated once per reduction.  Each merge
+scans the M x M matrix twice: once for the least cost, and once for the
+first cell within the tie band of it.  Costs within a relative band of
+the least one are tied, and ties go to the lowest ``(i, j)``, which is
+that first cell in row-major order, as the matrix is symmetric with an
+infinite diagonal: mirror-image split children give costs that are equal
+in exact arithmetic, and the result depends neither on object identity
+nor on how their last bit rounds.
+
+The engine's split budget holds M to at most max(``split_n`` x cap, the
+rows of the step's fan-out): 200 at cap 40, a 320 KB matrix.  Up to
+about 300 rows two scans per merge cost no more than caching each row's
+minimum: reducing random mixands of one label to 10 took 0.91-0.96 times
+the cache's time at 100-250 rows, 1.03 at 300, 1.24 at 400, 1.76 at 625
+and 2.37 at 1,000 (least of 8 rounds of 5-7 runs, 2-core host).
 """
 
 from __future__ import annotations
@@ -57,9 +63,6 @@ _COST_MAX = np.finfo(float).max
 # run-to-run spread, and 3.2-3.3 ms at 2048 and 4096 (2-core host).  Every
 # pair cost is elementwise in its pair, so the chunk size changes no bit.
 _CHUNK = 512
-# Cost-matrix cells handled per block when filling or rescanning rows, so
-# the temporaries stay small next to the M x M matrix itself.
-_BLOCK_CELLS = 1 << 16
 # Costs within this relative distance of the least one are tied.  A cost is
 # a difference of weighted log-determinants, so rounding moves it by a few
 # ulps of its terms, some orders of magnitude below the band; a pair
@@ -155,7 +158,11 @@ def _clamp(costs: np.ndarray) -> np.ndarray:
 
 
 def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
-    """Merge mixands until the total count is at most the configured cap."""
+    """Merge mixands until the total count is at most the configured cap.
+
+    Each merge scans the M x M cost matrix, O(M^2), which is enough because
+    the split budget bounds M (``anticipate``: at most max(B, F) rows).
+    """
     if len(mix) <= cfg.max_mixands:
         return mix
     m = len(mix)
@@ -170,23 +177,16 @@ def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
     # costs[i, j] = costs[j, i] is the cost of merging slots i and j of one
     # label; every other cell, the diagonal too, is +inf.
     costs = np.full((m, m), np.inf)
-    idx = np.arange(m)
-    block = max(1, _BLOCK_CELLS // m)
-    for r0 in range(0, m, block):
-        rows = idx[r0 : r0 + block, None]
-        ia, ib = np.nonzero((code[rows] == code) & (rows < idx))
-        ia += r0
-        for s in range(0, len(ia), _CHUNK):
-            a, b = ia[s : s + _CHUNK], ib[s : s + _CHUNK]
-            costs[a, b] = costs[b, a] = _pair_costs(
-                w.take(a), mean.take(a, axis=0), cov.take(a, axis=0), logdet.take(a),
-                w.take(b), mean.take(b, axis=0), cov.take(b, axis=0), logdet.take(b))[0]
-    # Each row's cheapest cell, so a step scans M row minima, not M^2 cells.
-    best = costs.argmin(axis=1)
-    row_min = costs[idx, best]
+    flat = costs.ravel()    # a view: it sees every write to costs
+    ia, ib = np.nonzero(np.triu(code[:, None] == code, 1))
+    for s in range(0, len(ia), _CHUNK):
+        a, b = ia[s : s + _CHUNK], ib[s : s + _CHUNK]
+        costs[a, b] = costs[b, a] = _pair_costs(
+            w.take(a), mean.take(a, axis=0), cov.take(a, axis=0), logdet.take(a),
+            w.take(b), mean.take(b, axis=0), cov.take(b, axis=0), logdet.take(b))[0]
 
     for _ in range(m - cfg.max_mixands):
-        least = float(row_min.min())
+        least = float(flat.min())
         if least == np.inf:
             # Only distinct discrete hypotheses remain; drop the lightest.
             drop = min(np.flatnonzero(alive), key=lambda k: (w[k], k))
@@ -199,14 +199,13 @@ def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
             )
             alive[drop] = False
             continue
-        # The lowest (i, j) within the tie band: i is the lowest slot in a
-        # tied pair, the first row whose minimum is in the band, and j its
-        # first cell in the band.  Clamped costs tie only with equal ones,
-        # so the band cannot overflow to the empty cells.
+        # The lowest (i, j) within the tie band: the matrix is symmetric with
+        # an inf diagonal, so its first cell in the band in row-major order
+        # has i < j.  Clamped costs tie only with equal ones, so the band
+        # cannot overflow to the empty cells.
         band = least if least == _COST_MAX else least + _TIE_RTOL * abs(least)
-        i = int((row_min <= band).argmax())
+        i, j = divmod(int((flat <= band).argmax()), m)
         row = costs[i]
-        j = int((row <= band).argmax())
         # _merged_moments' arithmetic on Python floats, written into slot i.
         wi, wj = w.item(i), w.item(j)
         wt = wi + wj
@@ -224,17 +223,6 @@ def reduce_mixture(mix: HybridMixture, cfg: ReductionConfig) -> HybridMixture:
                                       mean.take(partners, axis=0), cov.take(partners, axis=0),
                                       logdet.take(partners), stack)
         costs[i, partners] = costs[partners, i] = cost
-        # Rescan rows i and j, the rows whose minimum sat on slot i or j, and
-        # the rows whose new cell may be their minimum.
-        stale = (best == i) | (best == j)
-        stale[i] = stale[j] = True
-        stale[partners[cost <= row_min[partners]]] = True
-        stale = stale.nonzero()[0]
-        for r0 in range(0, len(stale), block):
-            rows = stale[r0 : r0 + block]
-            scan = costs[rows]
-            best[rows] = scan.argmin(axis=1)
-            row_min[rows] = scan.min(axis=1)
     table, codes = mix.table, code[alive]
     # Merges keep every label.  Drops come once each alive slot holds a label
     # of its own, so a drop that empties a label leaves fewer rows than labels.

@@ -504,16 +504,24 @@ class TestLevelSynchronousStep:
         m=st.integers(1, 6),
         seed=st.integers(0, 10_000),
     )
+    @example(case="turn", m=4, seed=209)
     def test_stacked_assessment_matches_per_mixand(self, case, m, seed):
         model = NOISE_FREE if case == "noise-free" else BICYCLES[case]
         mix = step_discrete(random_prior(np.random.default_rng(seed), m, case), model)
         pre, post = _stacked_sets(mix, model)
         report = assess_linearity(pre, post, e_res_max=0.05)
+        # An error eps in the moment turns its top eigenvector by up to
+        # eps / gap: the axes agree within max(1e-12 top / gap, 1e-12).  Seed
+        # 209's mixand 1 has a relative gap of 0.031.  A rank-deficient
+        # moment is rounding, and its gap may be 0.
+        evals = np.linalg.eigvalsh(report.moment)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tol = np.fmax(1e-12 * evals[:, -1] / (evals[:, -1] - evals[:, -2]), 1e-12)
         for i in range(len(mix)):
             e_res, passed, axis = _assess_reference(pre[i], post[i], 0.05)
             assert report.e_res[i] == pytest.approx(e_res, rel=1e-12, abs=1e-12)
             assert report.passed[i] == passed
-            assert np.allclose(report.split_axis[i], axis, rtol=1e-12, atol=1e-12)
+            assert np.abs(report.split_axis[i] - axis).max() <= tol[i]
 
     @pytest.mark.parametrize("case", ["turn", "noise-free"])
     def test_singular_covariance_takes_the_eigen_path_alone(self, case, lib, monkeypatch,
@@ -588,15 +596,40 @@ class TestSplitBudget:
         assert not [r for r in caplog.records if "split depth cap" in r.msg]
         assert [alpha for alpha, _ in model.calls] == list(dict.fromkeys(mix.labels))
 
-    def test_depth_four_hands_the_reducer_at_most_the_budget(self, lib, monkeypatch):
-        # The README prior at depth 4: without the budget, step 2 alone
-        # handed the reducer 3,794 rows and took 16.5 s.
-        cfg = EngineConfig(e_res_max=0.05, max_split_depth=4)
-        sizes = []
+    @pytest.mark.parametrize("network, prior, e_res_max, cap", [
+        ("turn", "wide", 0.05, 10),
+        ("turn", "wide", 0.0, 4),
+        ("turn", "wide", 0.0, 10),
+        ("intersection", "fanned", 0.0, 4),
+    ])
+    def test_depth_four_hands_the_reducer_at_most_the_budget(self, network, prior, e_res_max,
+                                                             cap, lib, monkeypatch):
+        # Each step hands the reducer at most max(B, the step's fan-out).  The
+        # README prior at depth 4: without the budget, step 2 alone handed the
+        # reducer 3,794 rows and took 16.5 s.  At e_res_max=0 every fit fails,
+        # so the budget binds at every level.  The fanned prior is 12 mixands
+        # around the junction after one fan-out: 24 rows of four labels, so at
+        # cap 4 its first fan-out exceeds B = 20 and nothing may split.
+        model = BICYCLES[network]
+        if prior == "wide":
+            prior = single(WIDE_PRIOR, alpha="approach")
+        else:
+            prior = step_discrete(random_prior(np.random.default_rng(0), 12, network), model)
+        cfg = EngineConfig(e_res_max=e_res_max, max_split_depth=4, reduction=ReductionConfig(cap))
+        fanned, sizes = [], []
+
+        def fan_out(mix, model):
+            out = step_discrete(mix, model)
+            fanned.append(len(out))
+            return out
+
+        monkeypatch.setattr(hgmm.engine, "step_discrete", fan_out)
         monkeypatch.setattr(hgmm.engine, "reduce_mixture",
                             lambda mix, rcfg: sizes.append(len(mix)) or reduce_mixture(mix, rcfg))
-        anticipate(single(WIDE_PRIOR, alpha="approach"), BICYCLES["turn"], cfg, lib)
-        assert max(sizes) <= cfg.split_n * cfg.reduction.max_mixands
+        anticipate(prior, model, cfg, lib)
+        budget = cfg.split_n * cap
+        assert len(sizes) == len(fanned) == cfg.n_steps
+        assert all(n <= max(budget, f) for n, f in zip(sizes, fanned))
 
 
 class TestLevelWithoutSplits:

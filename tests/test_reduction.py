@@ -339,9 +339,9 @@ class TestAgainstReference:
 
     def test_new_cell_below_a_lower_rows_minimum(self):
         # Merging (2, 3) into slot 2 gives cell (0, 2) a cost of 0.285, below
-        # row 0's cached minimum of 0.316 (cell (0, 1)), and it is the next
-        # merge.  Unless row 0 is rescanned, the pair is found through row 2
-        # alone and merges into slot 2 instead of slot 0.
+        # row 0's least cost before the merge, 0.316 (cell (0, 1)), and it is
+        # the next merge.  A reducer that kept stale row minima would find the
+        # pair through row 2 alone and merge it into slot 2 instead of slot 0.
         rows = [
             (0.1785, [-0.765, 1.182], [[1.542, 1.134], [1.134, 1.145]]),
             (0.257, [-1.931, 0.764], [[0.109, -0.035], [-0.035, 0.227]]),
