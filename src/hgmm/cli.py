@@ -334,7 +334,10 @@ def cmd_run(args, parser) -> int:
         "command": "run",
         "version": __version__,
         "seed": seed,
-        "config": {"model": model_name, "network": network_name, **_flat_config(cfg)},
+        # Strict JSON has no inf or nan: a setting that is not finite is written as its str.
+        "config": {"model": model_name, "network": network_name,
+                   **{k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+                      for k, v in _flat_config(cfg).items()}},
         # The --cache file, hashed under "inputs", or the library this version ships.
         "split_library": os.path.basename(args.cache) if args.cache else "shipped",
         "inputs": {

@@ -138,6 +138,23 @@ class EngineConfig:
         return int(round(self.horizon / self.dt))
 
 
+def _check_successor_options(alpha, succ: list) -> None:
+    """Check the successor options of a label that some mixand or particle leaves.
+
+    ``NoSuccessorError`` when there are none; ``ValueError`` naming the label
+    when a probability is negative or they sum more than 1e-9 from 1.
+    """
+    if not succ:
+        raise NoSuccessorError(f"discrete state {alpha!r} has no successors")
+    for alpha_next, p in succ:
+        if not p >= 0.0:
+            raise ValueError(f"successor probability of {alpha!r} -> {alpha_next!r} "
+                             f"is {p}; it must be non-negative")
+    total = sum(p for _, p in succ)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"successor probabilities of {alpha!r} sum to {total}")
+
+
 def step_discrete(mix: HybridMixture, model: DynamicsModel) -> HybridMixture:
     """Fan each mixand out over its possible next discrete states.
 
@@ -146,10 +163,9 @@ def step_discrete(mix: HybridMixture, model: DynamicsModel) -> HybridMixture:
     frame of one label passes its whole ``means``, with no row index.  A
     label whose only option is to stay, ``[(alpha, 1.0)]``, is not gated,
     since moving would keep it and its weight.  The fan-out is not
-    renormalized: successor probabilities must be non-negative and sum to 1
-    within 1e-9, else ``ValueError`` names the label; these checks, and
-    ``NoSuccessorError`` for a label with no successors, apply once some
-    mixand leaves.  ``mix`` itself is returned when no mixand changes.
+    renormalized: ``_check_successor_options`` checks the options of each
+    label once some mixand leaves it.  ``mix`` itself is returned when no
+    mixand leaves.
     Otherwise the successors of each label that some mixand leaves are
     coded into the input's table, extended by the labels it lacks, and the
     output frame's table is rebuilt from the labels its rows use.
@@ -168,15 +184,7 @@ def step_discrete(mix: HybridMixture, model: DynamicsModel) -> HybridMixture:
             moved[rows] = model.transition_mask(alpha, mix.means[rows])
             leaving = moved[rows]
         if leaving.any():
-            if not succ:
-                raise NoSuccessorError(f"discrete state {alpha!r} has no successors")
-            for alpha_next, p in succ:
-                if not p >= 0.0:
-                    raise ValueError(f"successor probability of {alpha!r} -> {alpha_next!r} "
-                                     f"is {p}; it must be non-negative")
-            total = sum(p for _, p in succ)
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"successor probabilities of {alpha!r} sum to {total}")
+            _check_successor_options(alpha, succ)
             table, successors = _encode([alpha_next for alpha_next, _ in succ], table)
             fanout[c] = [(s, p) for s, (_, p) in zip(successors.tolist(), succ) if p > 0.0]
     if not moved.any():
@@ -189,8 +197,6 @@ def step_discrete(mix: HybridMixture, model: DynamicsModel) -> HybridMixture:
         else:
             out.append((i, w, c))
     rows, weights, codes = map(list, zip(*out))
-    if weights == mix.weights.tolist() and codes == mix.codes.tolist():
-        return mix      # every move kept its label: keep the frame
     return _frame(np.array(weights), mix.means[rows], mix.covs[rows],
                   *_encode(_decode(table, codes)), mix.time_index)
 

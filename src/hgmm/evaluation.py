@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import HybridMixture, _decode, _encode, gaussian_logpdf, mixture_moments
-from .engine import DynamicsModel
+from .engine import DynamicsModel, _check_successor_options
 from .errors import (
     DegenerateVarianceError,
     DimensionMismatchError,
@@ -138,7 +138,9 @@ def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
     """Step a particle set through the hybrid dynamics, exactly.
 
     Each particle draws its own process noise and samples its discrete
-    transition by probability.  Every label in use is gated, also one whose
+    transition by probability, from successor options checked as the
+    engine checks them (``_check_successor_options``), and renormalized
+    only to absorb rounding.  Every label in use is gated, also one whose
     only option is to stay: its crossings draw from the random stream like
     any other, so skipping them would change every later draw.  When one
     label holds every particle, ``transition_mask`` and ``f_c_batch`` get
@@ -181,7 +183,9 @@ def propagate_particles(ps: ParticleSet, model: DynamicsModel, steps: int,
             mask = model.transition_mask(table[c], take(states, rows))
             crossed = np.flatnonzero(mask) if isinstance(rows, slice) else rows[mask]
             if crossed.size:
-                labels, probs = zip(*model.successor_options(table[c]))
+                succ = model.successor_options(table[c])
+                _check_successor_options(table[c], succ)
+                labels, probs = zip(*succ)
                 probs = np.array(probs)
                 pick = rng.choice(len(labels), size=crossed.size, p=probs / probs.sum())
                 table, successors = _encode(labels, table)

@@ -149,6 +149,9 @@ class RoadSegment:
         finite = np.isfinite(line).all()
         if not (finite and np.linalg.norm(np.diff(line, axis=0), axis=1).max() > 1e-12):
             raise ValueError(f"segment {self.seg_id}: centerline must be finite, non-zero length")
+        if not (math.isfinite(self.half_width) and self.half_width > 0.0):
+            raise ValueError(f"segment {self.seg_id}: half_width must be finite and positive, "
+                             f"got {self.half_width}")
         line.setflags(write=False)
         object.__setattr__(self, "centerline", line)
         object.__setattr__(self, "successors", tuple(self.successors))

@@ -1,47 +1,18 @@
-"""Deterministic JSON writing with fixed float formatting.
+"""Strict JSON writing for every file the package outputs.
 
-Files written by the package must be byte-identical across re-runs, so
-floats are always rendered with 17 significant digits (round-trip exact
-for IEEE doubles) and dict key order is preserved as inserted.
+Output is strict JSON: keys keep their insertion order, floats take
+Python's shortest round-trip ``repr`` (the form the CSV writers use), and
+strings are escaped, so each record stays on one line.  A float that is
+not finite raises ``ValueError``; a caller that holds one, such as the
+run manifest's ``e_res_max``, writes it as the string ``"inf"``,
+``"-inf"`` or ``"nan"`` itself.
 """
 
 from __future__ import annotations
 
-import math
-
-
-def _fmt_float(x: float) -> str:
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    if math.isnan(x):
-        return '"nan"'
-    if x == int(x) and abs(x) < 1e16:
-        return f"{x:.1f}"
-    return f"{x:.17g}"
+import json
 
 
 def to_json(obj) -> str:
-    """Serialize nested dict/list/scalar data to a JSON string."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, dict):
-        items = ", ".join(f"{to_json(str(k))}: {to_json(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(to_json(v) for v in obj) + "]"
-    if hasattr(obj, "item"):  # numpy scalar
-        return to_json(obj.item())
-    if hasattr(obj, "tolist"):  # numpy array
-        return to_json(obj.tolist())
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    """Serialize nested dict/list/scalar data of plain Python values."""
+    return json.dumps(obj, ensure_ascii=False, allow_nan=False)

@@ -216,6 +216,9 @@ class TestRun:
             rec = json.loads(line)
             alphas = [m["alpha"] for m in rec["mixands"]]
             assert len(alphas) == len(set(alphas))
+        # Strict JSON has no Infinity: the manifest writes the setting as a string.
+        manifest = json.loads((tmp_path / "frames.jsonl.manifest.json").read_text())
+        assert manifest["config"]["e_res_max"] == "inf"
 
     def test_without_cache_splits_with_the_shipped_library(self, tmp_path):
         # A finite e_res_max splits whether or not --cache is given: the
@@ -364,15 +367,20 @@ class TestRun:
                 b = np.array([m[key] for m in ref["mixands"]])
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
 
-    @pytest.mark.parametrize("centerline, code", [
-        pytest.param([[0.0, 0.0], [0.0, 0.0]], 2, id="zero-length"),
-        pytest.param([[0.0, 0.0], [float("nan"), 0.0]], 2, id="nan-coordinate"),
-        pytest.param([[0.0, 0.0], [60.0, 0.0], [60.0, 0.0]], 0, id="repeated-final-vertex"),
+    # A NaN half_width turned the off-network cutoff off: d > 3 * nan is never true.
+    @pytest.mark.parametrize("centerline, half_width, code", [
+        pytest.param([[0.0, 0.0], [0.0, 0.0]], 2.0, 2, id="zero-length"),
+        pytest.param([[0.0, 0.0], [float("nan"), 0.0]], 2.0, 2, id="nan-coordinate"),
+        pytest.param([[0.0, 0.0], [60.0, 0.0], [60.0, 0.0]], 2.0, 0, id="repeated-final-vertex"),
+        pytest.param([[0.0, 0.0], [60.0, 0.0]], float("nan"), 2, id="nan-half-width"),
+        pytest.param([[0.0, 0.0], [60.0, 0.0]], float("inf"), 2, id="inf-half-width"),
+        pytest.param([[0.0, 0.0], [60.0, 0.0]], 0.0, 2, id="zero-half-width"),
+        pytest.param([[0.0, 0.0], [60.0, 0.0]], -2.0, 2, id="negative-half-width"),
     ])
-    def test_network_file_centerlines(self, tmp_path, centerline, code):
+    def test_network_file_centerlines(self, tmp_path, centerline, half_width, code):
         net = tmp_path / "network.json"
         net.write_text(json.dumps({"segments": [{"id": "approach", "centerline": centerline,
-                                                 "half_width": 2.0, "successors": []}]}))
+                                                 "half_width": half_width, "successors": []}]}))
         scen = Path(__file__).parent / "data" / "turn_scenario.json"
         out = tmp_path / "frames.jsonl"
         assert run_cli("run", "--scenario", str(scen), "--network", str(net),
@@ -397,6 +405,26 @@ class TestRun:
             argv = ("evaluate", "--frames", str(data / "turn_frames.jsonl"), "--metric", "eote",
                     "--route", "approach", "--samples", "10")
         assert run_cli(*argv, "--network", str(net)) == 2
+
+    def test_segment_id_with_a_tab_runs_and_evaluates(self, tmp_path, capsys):
+        # The frames file escapes the tab in its labels, so `evaluate` reads it.
+        seg = "main\tlane"
+        net = tmp_path / "network.json"
+        line = [[0.0, 0.0], [200.0, 0.0]]
+        net.write_text(json.dumps({"segments": [{"id": seg, "centerline": line,
+                                                 "half_width": 2.0, "successors": []}]}))
+        scenario = json.loads((DATA / "turn_scenario.json").read_text())
+        scenario["initial"]["mixands"][0]["alpha"] = seg
+        scen = tmp_path / "scenario.json"
+        scen.write_text(json.dumps(scenario))
+        frames = tmp_path / "frames.jsonl"
+        assert run_cli("run", "--scenario", str(scen), "--network", str(net),
+                       "--horizon", "0.3", "--out", str(frames)) == 0
+        assert all(json.loads(line)["mixands"][0]["alpha"] == seg
+                   for line in frames.read_text().splitlines())
+        assert run_cli("evaluate", "--frames", str(frames), "--metric", "eote",
+                       "--network", str(net), "--route", seg, "--samples", "10") == 0
+        assert "eote total=" in capsys.readouterr().out
 
     def test_missing_scenario_key(self, tmp_path):
         scen = tmp_path / "bad.json"

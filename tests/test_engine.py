@@ -293,6 +293,24 @@ class TestStepDiscrete:
         with pytest.raises(ValueError, match=r"'a' -> 'c'"):
             step_discrete(single(Gaussian(np.zeros(1), np.eye(1)), "a"), model)
 
+    @pytest.mark.parametrize("path", ["engine", "oracle"])
+    @pytest.mark.parametrize("options, error, message", [
+        pytest.param([], NoSuccessorError, "no successors", id="none"),
+        pytest.param([("b", 0.5), ("c", 0.3)], ValueError, r"'a' sum to 0\.8", id="sum"),
+        pytest.param([("b", 1.5), ("c", -0.5)], ValueError, r"'a' -> 'c'", id="negative"),
+    ])
+    def test_oracle_checks_successor_options_as_the_engine_does(self, path, options, error,
+                                                                 message):
+        # Particles leaving a label draw from its options only once the engine's
+        # checks pass: none are unpacked from an empty list or renormalized to 1.
+        model = LinearModel(np.eye(1), np.eye(1), np.eye(1), routing={"a": options})
+        mix = single(Gaussian(np.zeros(1), np.eye(1)), "a")
+        with pytest.raises(error, match=message):
+            if path == "engine":
+                step_discrete(mix, model)
+            else:
+                propagate_particles(sample_particles(mix, 50, seed=1), model, 1)
+
 
 class CountingBicycle(BicycleModel):
     """``BicycleModel`` that records the label of every ``transition_mask`` call
